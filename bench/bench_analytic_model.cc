@@ -68,7 +68,8 @@ main()
         auto model = core::AnalyticMeshModel::evaluate(isReport, load);
         auto synthModel = core::SyntheticModel::fromReport(isReport);
         auto sim = core::SyntheticTrafficGenerator::run(
-            synthModel, 77, 1.0 / load, 4);
+            synthModel,
+            {.seed = 77, .timeScale = 1.0 / load, .maxOutstanding = 4});
         std::cout << std::fixed << std::setprecision(2) << std::setw(8)
                   << load << std::setprecision(4) << std::setw(12)
                   << model.latencyMean << std::setw(12)

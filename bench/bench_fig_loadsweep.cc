@@ -63,10 +63,10 @@ main()
     std::cout << std::string(86, '-') << "\n";
 
     for (double scale : {4.0, 2.0, 1.0, 0.5, 0.25}) {
-        auto u = core::SyntheticTrafficGenerator::run(uniform, 31,
-                                                      scale);
-        auto f = core::SyntheticTrafficGenerator::run(fitted, 31,
-                                                      scale);
+        auto u = core::SyntheticTrafficGenerator::run(
+            uniform, {.seed = 31, .timeScale = scale});
+        auto f = core::SyntheticTrafficGenerator::run(
+            fitted, {.seed = 31, .timeScale = scale});
         std::cout << std::fixed << std::setprecision(2) << std::setw(11)
                   << scale << std::setprecision(4) << std::setw(13)
                   << u.latencyMean << std::setw(13) << f.latencyMean

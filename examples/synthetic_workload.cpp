@@ -48,7 +48,8 @@ main()
               << model.lengthPmf.size() << " sizes\n";
 
     std::cout << "3. Driving the mesh with synthetic traffic...\n";
-    auto synthetic = core::SyntheticTrafficGenerator::run(model, 2024);
+    auto synthetic =
+        core::SyntheticTrafficGenerator::run(model, {.seed = 2024});
 
     std::cout << "4. Original vs synthetic network behaviour:\n";
     auto row = [](const char *name, double orig, double synth) {

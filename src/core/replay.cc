@@ -78,6 +78,30 @@ sinkProcess(mesh::MeshNetwork *net, int node)
 
 } // namespace
 
+void
+DriveResult::measure(const mesh::MeshNetwork &net, desim::SimTime now)
+{
+    makespan = log.lastDeliverTime();
+    latencyMean = net.latencyStats().mean();
+    latencyMax = net.latencyStats().max();
+    contentionMean = net.contentionStats().mean();
+    avgChannelUtilization = net.averageChannelUtilization(now);
+    maxChannelUtilization = net.maxChannelUtilization(now);
+}
+
+NetworkSummary
+DriveResult::summary() const
+{
+    NetworkSummary net;
+    net.latencyMean = latencyMean;
+    net.latencyMax = latencyMax;
+    net.contentionMean = contentionMean;
+    net.makespan = makespan;
+    net.avgChannelUtilization = avgChannelUtilization;
+    net.maxChannelUtilization = maxChannelUtilization;
+    return net;
+}
+
 DriveResult
 TraceReplayer::replay(const trace::Trace &trace,
                       const mesh::MeshConfig &mesh,
@@ -132,13 +156,7 @@ TraceReplayer::replay(const trace::Trace &trace,
     }
     sim.run();
 
-    result.makespan = result.log.lastDeliverTime();
-    result.latencyMean = net.latencyStats().mean();
-    result.latencyMax = net.latencyStats().max();
-    result.contentionMean = net.contentionStats().mean();
-    result.avgChannelUtilization =
-        net.averageChannelUtilization(sim.now());
-    result.maxChannelUtilization = net.maxChannelUtilization(sim.now());
+    result.measure(net, sim.now());
     result.retransmits = resilience.retransmits;
     result.deliveryFailures = resilience.deliveryFailures;
     if (opts.faults) {
@@ -147,18 +165,6 @@ TraceReplayer::replay(const trace::Trace &trace,
         result.linkDrops = opts.faults->linkDrops();
     }
     return result;
-}
-
-DriveResult
-TraceReplayer::replay(const trace::Trace &trace,
-                      const mesh::MeshConfig &mesh, bool blocking,
-                      obs::WindowedSampler *sampler, double samplePeriodUs)
-{
-    ReplayOptions opts;
-    opts.blocking = blocking;
-    opts.sampler = sampler;
-    opts.samplePeriodUs = samplePeriodUs;
-    return replay(trace, mesh, opts);
 }
 
 } // namespace cchar::core

@@ -21,6 +21,7 @@
 #include "fault/injector.hh"
 #include "mesh/mesh.hh"
 #include "obs/obs.hh"
+#include "report.hh"
 #include "trace/record.hh"
 #include "trace/trace.hh"
 
@@ -48,6 +49,16 @@ struct DriveResult
     std::uint64_t corruptedPackets = 0;
     /** Packets tail-dropped on a down link. */
     std::uint64_t linkDrops = 0;
+
+    /**
+     * Take the network statistics of a finished run whose traffic
+     * `net` carried into `log`; `now` is the simulator clock at the
+     * end of the run.
+     */
+    void measure(const mesh::MeshNetwork &net, desim::SimTime now);
+
+    /** The network section of a report (analyze adds avgHops). */
+    NetworkSummary summary() const;
 };
 
 /** Knobs of TraceReplayer::replay. */
@@ -93,14 +104,7 @@ class TraceReplayer
      */
     static DriveResult replay(const trace::Trace &trace,
                               const mesh::MeshConfig &mesh,
-                              const ReplayOptions &opts);
-
-    /** Back-compat wrapper over the ReplayOptions overload. */
-    static DriveResult replay(const trace::Trace &trace,
-                              const mesh::MeshConfig &mesh,
-                              bool blocking = true,
-                              obs::WindowedSampler *sampler = nullptr,
-                              double samplePeriodUs = 0.0);
+                              const ReplayOptions &opts = {});
 };
 
 } // namespace cchar::core

@@ -726,27 +726,8 @@ SyntheticTrafficGenerator::run(const SyntheticModel &model,
                   "synth-src-" + std::to_string(sm.source));
     }
     sim.run();
-
-    result.makespan = result.log.lastDeliverTime();
-    result.latencyMean = net.latencyStats().mean();
-    result.latencyMax = net.latencyStats().max();
-    result.contentionMean = net.contentionStats().mean();
-    result.avgChannelUtilization =
-        net.averageChannelUtilization(sim.now());
-    result.maxChannelUtilization = net.maxChannelUtilization(sim.now());
+    result.measure(net, sim.now());
     return result;
-}
-
-DriveResult
-SyntheticTrafficGenerator::run(const SyntheticModel &model,
-                               std::uint64_t seed, double time_scale,
-                               int max_outstanding)
-{
-    SynthRunOptions opts;
-    opts.seed = seed;
-    opts.timeScale = time_scale;
-    opts.maxOutstanding = max_outstanding;
-    return run(model, opts);
 }
 
 // ---------------------------------------------------------------
@@ -857,8 +838,10 @@ validateModel(const CharacterizationReport &report, std::uint64_t seed,
               int max_outstanding)
 {
     SyntheticModel model = SyntheticModel::fromReport(report);
-    DriveResult synth = SyntheticTrafficGenerator::run(
-        model, seed, 1.0, max_outstanding);
+    SynthRunOptions opts;
+    opts.seed = seed;
+    opts.maxOutstanding = max_outstanding;
+    DriveResult synth = SyntheticTrafficGenerator::run(model, opts);
 
     ValidationResult v;
     v.originalLatencyMean = report.network.latencyMean;

@@ -167,13 +167,7 @@ class SyntheticTrafficGenerator
      * model and options produce a byte-identical log.
      */
     static DriveResult run(const SyntheticModel &model,
-                           const SynthRunOptions &opts);
-
-    /** Positional legacy form of run (see SynthRunOptions). */
-    static DriveResult run(const SyntheticModel &model,
-                           std::uint64_t seed = 42,
-                           double time_scale = 1.0,
-                           int max_outstanding = 0);
+                           const SynthRunOptions &opts = {});
 };
 
 /**

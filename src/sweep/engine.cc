@@ -12,17 +12,14 @@
 #include <thread>
 
 #include "apps/registry.hh"
-#include "ccnuma/machine.hh"
 #include "core/analyzers.hh"
 #include "core/pipeline.hh"
-#include "core/replay.hh"
 #include "core/status.hh"
 #include "core/synthetic.hh"
 #include "desim/watchdog.hh"
 #include "fault/injector.hh"
 #include "fault/plan.hh"
 #include "journal.hh"
-#include "mp/mp.hh"
 #include "obs/obs.hh"
 #include "policy.hh"
 #include "stats/spatial.hh"
@@ -110,20 +107,6 @@ csvField(std::ostream &os, const std::string &s)
     os << '"';
 }
 
-core::NetworkSummary
-summaryOfMesh(const mesh::MeshNetwork &net, const trace::TrafficLog &log,
-              desim::SimTime now)
-{
-    core::NetworkSummary s;
-    s.latencyMean = net.latencyStats().mean();
-    s.latencyMax = net.latencyStats().max();
-    s.contentionMean = net.contentionStats().mean();
-    s.makespan = log.lastDeliverTime();
-    s.avgChannelUtilization = net.averageChannelUtilization(now);
-    s.maxChannelUtilization = net.maxChannelUtilization(now);
-    return s;
-}
-
 void
 fillOutcome(JobOutcome &out, const core::CharacterizationReport &report)
 {
@@ -179,8 +162,7 @@ fillSynthetic(JobOutcome &out, const core::CharacterizationReport &report)
     obs::ScopedObservability detach{nullptr, nullptr, nullptr, nullptr,
                                     nullptr};
     core::SyntheticModel model = core::SyntheticModel::fromReport(report);
-    core::DriveResult synth =
-        core::SyntheticTrafficGenerator::run(model, core::SynthRunOptions{});
+    core::DriveResult synth = core::SyntheticTrafficGenerator::run(model);
     core::SynthesisFidelity sf = core::computeSynthFidelity(model, synth.log);
     out.synthLatencyErr =
         report.network.latencyMean != 0.0
@@ -192,15 +174,21 @@ fillSynthetic(JobOutcome &out, const core::CharacterizationReport &report)
     out.synthVolumeKs = sf.volumeKs;
 }
 
+/**
+ * Fault columns of a faulted job: retry tallies from the run's
+ * resilience section, packet counts from the injector as it stands
+ * after fillSynthetic, whose model replay runs on the job's mesh and
+ * so under the job's faults.
+ */
 void
-fillFaults(JobOutcome &out, const fault::FaultInjector &injector,
-           std::uint64_t retransmits, std::uint64_t deliveryFailures)
+fillFaults(JobOutcome &out, const core::ResilienceSummary &rs,
+           const fault::FaultInjector &injector)
 {
     out.droppedPackets = injector.drops();
     out.corruptedPackets = injector.corrupts();
     out.linkDrops = injector.linkDrops();
-    out.retransmits = retransmits;
-    out.deliveryFailures = deliveryFailures;
+    out.retransmits = rs.retransmits;
+    out.deliveryFailures = rs.deliveryFailures;
     out.reroutedPackets = injector.reroutes();
     out.rerouteExtraHops = injector.rerouteExtraHops();
 }
@@ -257,162 +245,40 @@ SweepEngine::runJob(const SweepJob &job, obs::MetricsRegistry &registry,
             injector.emplace(plan);
         }
 
-        mesh::MeshConfig mcfg = meshOfJob(job);
-        if (injector)
-            mcfg.faults = &*injector;
-
-        core::CharacterizationPipeline pipeline;
-        // The watchdog doubles as the external-cancellation port: the
-        // deadline monitor and the shutdown path flip `cancel`, and
-        // the next periodic tick throws a cancelled WatchdogError out
-        // of the run. Without an injector the probe is the kernel's
-        // committed-event count, which advances on every tick, so the
-        // no-progress heuristic can never fire — only cancellation.
-        desim::WatchdogConfig wcfg;
-        wcfg.cancelFlag = cancel;
-
-        if (auto app = apps::makeSharedMemoryApp(job.app)) {
-            ccnuma::MachineConfig cfg;
-            cfg.mesh = mcfg;
-            desim::Simulator sim;
-            ccnuma::Machine machine{sim, cfg};
-            desim::Watchdog watchdog{sim, wcfg};
-            if (injector) {
-                watchdog.setProgressProbe([&machine] {
-                    return machine.network().messageCount();
-                });
-                watchdog.arm();
-            } else if (cancel != nullptr) {
-                watchdog.setProgressProbe(
-                    [&sim] { return sim.processedEvents(); });
-                watchdog.arm();
-            }
-            apps::launch(machine, *app);
-            machine.run();
-            core::CharacterizationReport report = pipeline.analyze(
-                machine.log(), cfg.mesh, job.app, core::Strategy::Dynamic,
-                summaryOfMesh(machine.network(), machine.log(),
-                              sim.now()));
-            report.verified = app->verify();
-            fillOutcome(out, report);
-            if (job.synthetic)
-                fillSynthetic(out, report);
-            if (injector)
-                fillFaults(out, *injector, 0, 0);
-            if (job.rankActivity) {
-                activity.finish(sim.now());
-                core::RankActivitySummary ra =
-                    core::RankActivityAnalyzer{}.analyze(activity,
-                                                         report.phases);
-                fillRankActivity(out, ra);
-                core::publishRankMetrics(registry, ra);
-            }
-            if (job.linkStats) {
-                links.finish(sim.now());
-                core::LinkWeatherSummary lw =
-                    core::LinkWeatherAnalyzer{}.analyze(links, cfg.mesh,
-                                                        report.phases);
-                fillLinkStats(out, lw);
-                core::publishLinkMetrics(registry, lw);
-            }
-        } else if (auto mpApp = apps::makeMessagePassingApp(job.app)) {
-            mp::MpConfig cfg;
-            cfg.mesh = mcfg;
-            desim::Simulator sim;
-            mp::MpWorld world{sim, cfg};
-            desim::Watchdog watchdog{sim, wcfg};
-            if (injector) {
-                // Delivered messages plus resolved delivery failures:
-                // a bounded retry budget draining on a hostile plan is
-                // progress toward the accounted failure exit, while an
-                // unbounded no-delivery loop still trips the watchdog.
-                watchdog.setProgressProbe([&world] {
-                    return world.network().messageCount() +
-                           world.deliveryFailures();
-                });
-                watchdog.arm();
-            } else if (cancel != nullptr) {
-                watchdog.setProgressProbe(
-                    [&sim] { return sim.processedEvents(); });
-                watchdog.arm();
-            }
-            world.enableTracing();
-            apps::launch(world, *mpApp);
-            world.run();
-            bool verified = mpApp->verify();
-            trace::Trace collected = world.collectedTrace();
-            if (job.rankActivity)
-                activity.finish(sim.now());
-
-            // Detach the tracker for the rest of the job: the replay
-            // rebuilds a MeshNetwork that would re-resolve the hook
-            // and double-count the comm spans already recorded live.
-            obs::ScopedRankActivity detachActivity{nullptr};
-
-            core::ReplayOptions ropts;
-            if (injector) {
-                ropts.faults = &*injector;
-                ropts.enableWatchdog = true;
-            }
-            if (cancel != nullptr) {
-                // Cancellation must reach the replay simulation too.
-                // Without an injector the replay's delivered-message
-                // probe could stall legitimately (bursty delivery),
-                // so the stall threshold is pushed out of reach and
-                // only the cancel flag can trip.
-                ropts.enableWatchdog = true;
-                ropts.watchdog.cancelFlag = cancel;
-                if (!injector)
-                    ropts.watchdog.stallChecks = 1 << 30;
-            }
-            // The replay mesh is the network whose behaviour the
-            // static-strategy report describes, so the link sink
-            // restarts here: the replay re-declares the same topology
-            // and only its traffic enters the weather analysis.
-            if (job.linkStats)
-                links.reset();
-            auto replayed =
-                core::TraceReplayer::replay(collected, cfg.mesh, ropts);
-            core::NetworkSummary net;
-            net.latencyMean = replayed.latencyMean;
-            net.latencyMax = replayed.latencyMax;
-            net.contentionMean = replayed.contentionMean;
-            net.makespan = replayed.makespan;
-            net.avgChannelUtilization = replayed.avgChannelUtilization;
-            net.maxChannelUtilization = replayed.maxChannelUtilization;
-            core::CharacterizationReport report =
-                pipeline.analyze(replayed.log, cfg.mesh, job.app,
-                                 core::Strategy::Static, net);
-            report.verified = verified;
-            fillOutcome(out, report);
-            if (job.synthetic)
-                fillSynthetic(out, report);
-            if (job.rankActivity) {
-                core::RankActivitySummary ra =
-                    core::RankActivityAnalyzer{}.analyze(activity,
-                                                         report.phases);
-                fillRankActivity(out, ra);
-                core::publishRankMetrics(registry, ra);
-            }
-            if (job.linkStats) {
-                links.finish(replayed.makespan);
-                core::LinkWeatherSummary lw =
-                    core::LinkWeatherAnalyzer{}.analyze(links, cfg.mesh,
-                                                        report.phases);
-                fillLinkStats(out, lw);
-                core::publishLinkMetrics(registry, lw);
-            }
-            if (injector) {
-                fillFaults(out, *injector,
-                           world.retransmits() + replayed.retransmits,
-                           world.deliveryFailures() +
-                               replayed.deliveryFailures);
-            }
-        } else {
+        std::unique_ptr<apps::SharedMemoryApp> app =
+            apps::makeSharedMemoryApp(job.app);
+        std::unique_ptr<apps::MessagePassingApp> mpApp =
+            app ? nullptr : apps::makeMessagePassingApp(job.app);
+        if (!app && !mpApp) {
             throw core::CCharError(core::StatusCode::UsageError,
                                    "unknown application '" + job.app +
                                        "'");
         }
+        core::RunSpec spec;
+        spec.sharedMemoryApp = app.get();
+        spec.messagePassingApp = mpApp.get();
+        spec.application = job.app;
+        spec.machine.mesh = meshOfJob(job);
+        spec.mp.mesh = spec.machine.mesh;
+        spec.faults = injector ? &*injector : nullptr;
+        // The watchdog doubles as the external-cancellation port: the
+        // deadline monitor and the shutdown path flip `cancel`, and
+        // the next periodic tick throws a cancelled WatchdogError out
+        // of the run.
+        spec.watchdog.cancelFlag = cancel;
+
+        core::CharacterizationReport report =
+            core::runCharacterization(spec, core::PipelineOptions{})
+                .report;
+        fillOutcome(out, report);
+        if (job.synthetic)
+            fillSynthetic(out, report);
+        if (job.rankActivity)
+            fillRankActivity(out, report.rankActivity);
+        if (job.linkStats)
+            fillLinkStats(out, report.linkStats);
+        if (injector)
+            fillFaults(out, report.resilience, *injector);
     } catch (const core::CCharError &e) {
         out.status = core::toString(e.status().code());
         out.error = e.what();

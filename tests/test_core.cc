@@ -162,8 +162,8 @@ TEST(Replay, OpenLoopInjectsWithoutWaiting)
     mesh::MeshConfig mesh;
     mesh.width = 2;
     mesh.height = 1;
-    auto blocking = TraceReplayer::replay(t, mesh, true);
-    auto open = TraceReplayer::replay(t, mesh, false);
+    auto blocking = TraceReplayer::replay(t, mesh, {.blocking = true});
+    auto open = TraceReplayer::replay(t, mesh, {.blocking = false});
     // Open loop: all injections near t=i*0.1; blocking: spaced by
     // message service time.
     EXPECT_LT(open.log.records().back().injectTime,
@@ -234,7 +234,7 @@ TEST(Synthetic, GeneratorReproducesMessageCounts)
     CharacterizationPipeline pipeline;
     auto report = pipeline.runDynamic(app, machine4x4());
     auto model = SyntheticModel::fromReport(report);
-    auto synth = SyntheticTrafficGenerator::run(model, 5);
+    auto synth = SyntheticTrafficGenerator::run(model, {.seed = 5});
     std::size_t expected = 0;
     for (const auto &sm : model.sources)
         expected += sm.messageCount;
@@ -266,8 +266,8 @@ TEST(Synthetic, DeterministicGivenSeed)
     auto report = pipeline.runDynamic(app, machine4x4());
     auto model1 = SyntheticModel::fromReport(report);
     auto model2 = SyntheticModel::fromReport(report);
-    auto a = SyntheticTrafficGenerator::run(model1, 9);
-    auto b = SyntheticTrafficGenerator::run(model2, 9);
+    auto a = SyntheticTrafficGenerator::run(model1, {.seed = 9});
+    auto b = SyntheticTrafficGenerator::run(model2, {.seed = 9});
     ASSERT_EQ(a.log.size(), b.log.size());
     EXPECT_DOUBLE_EQ(a.latencyMean, b.latencyMean);
     EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
@@ -329,8 +329,9 @@ TEST(SyntheticExtensions, TimeScaleCompressesSchedule)
     auto report = pipeline.runDynamic(app, machine4x4());
     auto m1 = SyntheticModel::fromReport(report);
     auto m2 = SyntheticModel::fromReport(report);
-    auto normal = SyntheticTrafficGenerator::run(m1, 3, 1.0);
-    auto loaded = SyntheticTrafficGenerator::run(m2, 3, 0.25);
+    auto normal = SyntheticTrafficGenerator::run(m1, {.seed = 3});
+    auto loaded =
+        SyntheticTrafficGenerator::run(m2, {.seed = 3, .timeScale = 0.25});
     EXPECT_LT(loaded.makespan, normal.makespan);
     EXPECT_GE(loaded.contentionMean, normal.contentionMean);
 }
@@ -414,8 +415,9 @@ TEST(SyntheticExtensions, PacedInjectionBoundsQueueing)
     auto report = pipeline.runDynamic(app, machine4x4());
     auto mOpen = SyntheticModel::fromReport(report);
     auto mPaced = SyntheticModel::fromReport(report);
-    auto open = SyntheticTrafficGenerator::run(mOpen, 7, 1.0, 0);
-    auto paced = SyntheticTrafficGenerator::run(mPaced, 7, 1.0, 2);
+    auto open = SyntheticTrafficGenerator::run(mOpen, {.seed = 7});
+    auto paced = SyntheticTrafficGenerator::run(
+        mPaced, {.seed = 7, .maxOutstanding = 2});
     EXPECT_EQ(open.log.size(), paced.log.size());
     // Bounded outstanding messages can only lower queueing delays.
     EXPECT_LE(paced.contentionMean, open.contentionMean + 1e-9);

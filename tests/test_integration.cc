@@ -2,7 +2,8 @@
  * @file
  * Cross-module integration tests: full-pipeline determinism, the
  * bandwidth profiler, alternative machine shapes for every
- * application, and end-to-end torus runs.
+ * application, end-to-end torus runs, and agreement between the
+ * library entry points and the sweep engine.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,9 @@
 #include "apps/maxflow.hh"
 #include "apps/mg.hh"
 #include "apps/nbody.hh"
+#include "apps/registry.hh"
 #include "core/core.hh"
+#include "sweep/engine.hh"
 
 namespace {
 
@@ -209,6 +212,64 @@ TEST(Integration, MgAndFft3DRunOn4Ranks)
         auto report = pipeline.runStatic(app, cfg);
         EXPECT_TRUE(report.verified);
     }
+}
+
+/**
+ * runDynamic/runStatic and a sweep job without a cancel flag run the
+ * same path, so with rank-activity and link-stats trackers installed
+ * they must report the same sink analytics.
+ */
+void
+expectLibraryMatchesSweepJob(const std::string &app)
+{
+    sweep::SweepJob job;
+    job.app = app;
+    job.procs = 16;
+    job.width = 4;
+    job.height = 4;
+    job.rankActivity = true;
+    job.linkStats = true;
+    obs::RankActivityTracker activity;
+    obs::LinkStatsTracker links;
+    obs::ScopedObservability scope{nullptr, nullptr, nullptr, &activity,
+                                   &links};
+    if (obs::linkStats() == nullptr)
+        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
+
+    // The job installs (and then restores) its own sinks.
+    obs::MetricsRegistry registry;
+    sweep::JobOutcome outcome = sweep::SweepEngine::runJob(job, registry);
+    ASSERT_TRUE(outcome.ok()) << outcome.error;
+    CharacterizationPipeline pipeline;
+    CharacterizationReport report;
+    if (auto smApp = apps::makeSharedMemoryApp(app)) {
+        report = pipeline.runDynamic(*smApp, machineOf(4, 4));
+    } else {
+        auto mpApp = apps::makeMessagePassingApp(app);
+        ASSERT_NE(mpApp, nullptr);
+        mp::MpConfig cfg;
+        cfg.mesh.width = 4;
+        cfg.mesh.height = 4;
+        report = pipeline.runStatic(*mpApp, cfg);
+    }
+    ASSERT_TRUE(report.linkStats.enabled);
+    ASSERT_TRUE(report.rankActivity.enabled);
+    EXPECT_DOUBLE_EQ(report.linkStats.gini, outcome.linkGini);
+    EXPECT_DOUBLE_EQ(report.linkStats.maxUtilization, outcome.maxLinkUtil);
+    EXPECT_EQ(static_cast<std::uint64_t>(report.linkStats.hotspotCount),
+              outcome.hotspotCount);
+    EXPECT_DOUBLE_EQ(report.rankActivity.maxAbsSkewUs, outcome.skewMaxUs);
+    EXPECT_EQ(report.rankActivity.waves.size(), outcome.idleWaves);
+}
+
+TEST(Integration, DynamicLibraryRunMatchesSweepJob)
+{
+    expectLibraryMatchesSweepJob("is");
+}
+
+TEST(Integration, StaticLibraryRunMatchesSweepJob)
+{
+    expectLibraryMatchesSweepJob("mg");
 }
 
 } // namespace

@@ -91,12 +91,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <unistd.h>
 
@@ -112,8 +110,18 @@ namespace {
 
 using namespace cchar;
 
+/** The subcommand an Options set belongs to (selects the output). */
+enum class Command
+{
+    Characterize,
+    Report,
+    Replay,
+    Synth,
+};
+
 struct Options
 {
+    Command command = Command::Characterize;
     int width = 4;
     int height = 4;
     bool torus = false;
@@ -134,8 +142,6 @@ struct Options
     bool linkStats = false;
     /** Ranked links/routers kept in link-weather output. */
     int topLinks = 16;
-    /** `cchar report` invocation: render HTML instead of text/JSON. */
-    bool reportMode = false;
 
     /** --fault-plan SPEC or @FILE ("" = fault-free). */
     std::string faultPlan;
@@ -153,7 +159,7 @@ struct Options
     wantsObs() const
     {
         return !traceOut.empty() || !metricsOut.empty() ||
-               !reportOut.empty() || reportMode;
+               !reportOut.empty() || command == Command::Report;
     }
 };
 
@@ -198,12 +204,10 @@ class ObsSession
     obs::WindowedSampler *sampler()
     {
         return !opts_.metricsOut.empty() || !opts_.reportOut.empty() ||
-                       opts_.reportMode
+                       opts_.command == Command::Report
                    ? &sampler_
                    : nullptr;
     }
-
-    double samplePeriodUs() const { return opts_.samplePeriodUs; }
 
     /** Installed sinks, for report rendering (null when inactive). */
     const obs::MetricsRegistry *registry() const
@@ -213,24 +217,6 @@ class ObsSession
     const obs::FlowTracker *flows() const
     {
         return opts_.wantsObs() ? &flows_ : nullptr;
-    }
-
-    /** The rank-activity tracker, or nullptr without --rank-activity. */
-    obs::RankActivityTracker *activity()
-    {
-        return opts_.rankActivity ? &activity_ : nullptr;
-    }
-
-    /** The link-stats tracker, or nullptr without --link-stats. */
-    obs::LinkStatsTracker *linkStats()
-    {
-        return opts_.linkStats ? &linkStats_ : nullptr;
-    }
-
-    /** Writable registry for post-run metric publication. */
-    obs::MetricsRegistry *mutableRegistry()
-    {
-        return opts_.wantsObs() ? &registry_ : nullptr;
     }
 
     /** Write --trace-out / --metrics-out files. False on I/O error. */
@@ -311,7 +297,9 @@ usage()
            "  cchar report <app> [--out FILE] [characterize options]\n"
            "  cchar trace <mp-app> --out FILE [--width W] [--height H]\n"
            "  cchar replay <FILE> [--width W] [--height H] [--torus]\n"
+           "                      [--windows N] [--phases] [--json]\n"
            "                      [--trace-out FILE] [--metrics-out FILE]\n"
+           "                      [--report-out FILE] [--rank-activity]\n"
            "                      [--link-stats] [--top-links N]\n"
            "                      [--fault-plan SPEC|@FILE] [--seed N]\n"
            "                      [--no-reroute]\n"
@@ -322,7 +310,7 @@ usage()
            "              [--phases] [--json] [--out FILE]\n"
            "              [--report-out FILE] [--metrics-out FILE]\n"
            "              [--rank-activity] [--link-stats]\n"
-           "              [--top-links N] [--progress]\n"
+           "              [--top-links N]\n"
            "  cchar sweep [--spec FILE] [--apps LIST] [--procs LIST]\n"
            "              [--loads LIST] [--seeds LIST|A..B]\n"
            "              [--fault-plan SPEC]... [--torus] [--vcs N]\n"
@@ -487,28 +475,6 @@ loadFaultPlan(const Options &opts)
     return plan;
 }
 
-/** Fill the report's Resilience section from the run's fault state. */
-void
-fillResilience(core::ResilienceSummary &rs,
-               const fault::FaultInjector &injector,
-               std::uint64_t retransmits, std::uint64_t deliveryFailures,
-               std::uint64_t traceRecordsSkipped)
-{
-    rs.enabled = true;
-    rs.planDescription = injector.plan().describe();
-    rs.faultsPlanned = injector.plan().faults().size();
-    rs.droppedPackets = injector.drops();
-    rs.corruptedPackets = injector.corrupts();
-    rs.linkDrops = injector.linkDrops();
-    rs.routerStalls = injector.routerStalls();
-    rs.retransmits = retransmits;
-    rs.deliveryFailures = deliveryFailures;
-    rs.traceRecordsSkipped = traceRecordsSkipped;
-    rs.plannedLinkDowntimeUs = injector.plan().plannedLinkDowntimeUs();
-    rs.reroutedPackets = injector.reroutes();
-    rs.rerouteExtraHops = injector.rerouteExtraHops();
-}
-
 void
 printWindows(const trace::TrafficLog &log, int windows)
 {
@@ -530,7 +496,119 @@ printWindows(const trace::TrafficLog &log, int windows)
     }
 }
 
-/** Shared run-and-analyze step of `characterize` and `report`. */
+/**
+ * Analysis options of a CLI run: phases when asked for or when an HTML
+ * report needs them, telemetry into the session's sampler.
+ */
+core::PipelineOptions
+pipelineOptions(const Options &opts, ObsSession &obsSession)
+{
+    core::PipelineOptions popts;
+    popts.detectPhases = opts.phases || opts.command == Command::Report ||
+                         !opts.reportOut.empty();
+    popts.sampler = obsSession.sampler();
+    popts.samplePeriodUs = opts.samplePeriodUs;
+    popts.linkWeather.topLinks = opts.topLinks;
+    return popts;
+}
+
+/** The network, faults and watchdog of an app or trace run. */
+core::RunSpec
+specOf(const Options &opts, std::optional<fault::FaultInjector> &injector)
+{
+    core::RunSpec spec;
+    spec.machine.mesh = meshOf(opts);
+    spec.mp.mesh = spec.machine.mesh;
+    spec.faults = injector ? &*injector : nullptr;
+    spec.watchdog = opts.watchdog;
+    return spec;
+}
+
+/**
+ * Output step shared by characterize, report, replay and synth: the
+ * --trace-out/--metrics-out files, the HTML report, then the report as
+ * text or JSON (or HTML for `cchar report`) and the text extras.
+ */
+int
+emitRun(const Options &opts, ObsSession &obsSession,
+        const core::RunResult &run)
+{
+    const core::CharacterizationReport &report = run.report;
+    if (!obsSession.finish())
+        return 1;
+
+    core::HtmlReportInputs html;
+    html.report = &report;
+    html.registry = obsSession.registry();
+    html.sampler = obsSession.sampler();
+    html.flows = obsSession.flows();
+    auto writeHtml = [&html](const std::string &path) {
+        core::AtomicFileWriter writer{path};
+        core::writeHtmlReport(writer.stream(), html);
+        writer.commit();
+        std::cerr << "wrote HTML report to " << path << "\n";
+    };
+    if (!opts.reportOut.empty())
+        writeHtml(opts.reportOut);
+
+    if (opts.command == Command::Report) {
+        if (opts.reportOut.empty()) {
+            if (!opts.out.empty())
+                writeHtml(opts.out);
+            else
+                core::writeHtmlReport(std::cout, html);
+        }
+        return report.verified ? 0 : 1;
+    }
+
+    if (opts.command == Command::Replay && !opts.json) {
+        const core::DriveResult &result = run.drive;
+        std::cout << "replayed " << result.log.size() << " messages: "
+                  << "latency mean " << result.latencyMean
+                  << "us, contention mean " << result.contentionMean
+                  << "us, makespan " << result.makespan << "us\n";
+        if (opts.faulted()) {
+            std::cout << "resilience: " << result.linkDrops
+                      << " link drops, " << result.droppedPackets
+                      << " drops, " << result.corruptedPackets
+                      << " corrupted, " << result.retransmits
+                      << " retransmits, " << result.deliveryFailures
+                      << " delivery failures\n";
+        }
+    }
+    if (opts.command == Command::Synth && !opts.out.empty()) {
+        core::AtomicFileWriter writer{opts.out, "synth"};
+        if (opts.json)
+            report.writeJson(writer.stream());
+        else
+            report.print(writer.stream());
+        writer.commit();
+    } else if (opts.json) {
+        report.writeJson(std::cout);
+    } else {
+        report.print(std::cout);
+    }
+    // A replayed trace has no application to verify.
+    if (!report.verified && opts.command != Command::Replay) {
+        std::cerr << "WARNING: application verification FAILED\n";
+        return 1;
+    }
+    // The text phase profile would trail the JSON document and break
+    // `cchar ... --json | python3 -m json.tool` style consumers, so it
+    // is text-mode only.
+    if (opts.windows > 0 && !opts.json)
+        printWindows(run.drive.log, opts.windows);
+    if (opts.synthetic) {
+        auto v = core::validateModel(report);
+        std::cout << "\n-- Synthetic model validation --\n"
+                  << "  latency original " << v.originalLatencyMean
+                  << "us, synthetic " << v.syntheticLatencyMean
+                  << "us (" << v.latencyError() * 100.0 << "%)\n";
+    }
+    return 0;
+}
+
+/** `characterize` and `report`: run an application and report on it. */
 int
 cmdCharacterize(const std::string &name, const Options &opts)
 {
@@ -540,215 +618,25 @@ cmdCharacterize(const std::string &name, const Options &opts)
     std::optional<fault::FaultInjector> injector;
     if (opts.faulted())
         injector.emplace(loadFaultPlan(opts));
-    core::PipelineOptions popts;
-    popts.detectPhases =
-        opts.phases || opts.reportMode || !opts.reportOut.empty();
-    core::CharacterizationPipeline pipeline{popts};
-    core::CharacterizationReport report;
-    trace::TrafficLog logCopy;
-
-    if (auto app = makeSharedMemoryApp(name)) {
-        ccnuma::MachineConfig cfg;
-        cfg.mesh = meshOf(opts);
-        if (injector)
-            cfg.mesh.faults = &*injector;
-        // Re-run manually to keep the raw log for --windows.
-        desim::Simulator sim;
-        ccnuma::Machine machine{sim, cfg};
-        desim::Watchdog watchdog{sim, opts.watchdog};
-        if (injector) {
-            watchdog.setProgressProbe(
-                [&machine] { return machine.network().messageCount(); });
-            watchdog.arm();
-        }
-        if (auto *sampler = obsSession.sampler()) {
-            core::attachNetworkTelemetry(sim, machine.network(),
-                                         *sampler,
-                                         obsSession.samplePeriodUs());
-        }
-        if (opts.progress)
-            attachProgress(sim, opts.samplePeriodUs * 10.0);
-        apps::launch(machine, *app);
-        machine.run();
-        core::NetworkSummary net;
-        net.latencyMean = machine.network().latencyStats().mean();
-        net.latencyMax = machine.network().latencyStats().max();
-        net.contentionMean =
-            machine.network().contentionStats().mean();
-        net.makespan = machine.log().lastDeliverTime();
-        net.avgChannelUtilization =
-            machine.network().averageChannelUtilization(sim.now());
-        net.maxChannelUtilization =
-            machine.network().maxChannelUtilization(sim.now());
-        report = pipeline.analyze(machine.log(), cfg.mesh, name,
-                                  core::Strategy::Dynamic, net);
-        report.verified = app->verify();
-        logCopy = machine.log();
-        if (injector)
-            fillResilience(report.resilience, *injector, 0, 0, 0);
-        if (auto *tracker = obsSession.activity()) {
-            tracker->finish(sim.now());
-            report.rankActivity =
-                core::RankActivityAnalyzer{}.analyze(*tracker,
-                                                     report.phases);
-        }
-        if (auto *tracker = obsSession.linkStats()) {
-            tracker->finish(sim.now());
-            core::LinkWeatherConfig lwcfg;
-            lwcfg.topLinks = opts.topLinks;
-            report.linkStats = core::LinkWeatherAnalyzer{lwcfg}.analyze(
-                *tracker, cfg.mesh, report.phases);
-        }
-    } else if (auto mpApp = makeMessagePassingApp(name)) {
-        // Run the two static-strategy phases in the open so the replay
-        // log is kept for --windows without replaying twice.
-        mp::MpConfig cfg;
-        cfg.mesh = meshOf(opts);
-        if (injector)
-            cfg.mesh.faults = &*injector;
-        desim::Simulator sim;
-        mp::MpWorld world{sim, cfg};
-        desim::Watchdog watchdog{sim, opts.watchdog};
-        if (injector) {
-            // Delivered messages plus resolved delivery failures: a
-            // bounded retry budget draining on a hostile plan (e.g.
-            // drop:1.0) is progress toward the accounted failure
-            // exit, while an unbounded no-delivery retry loop still
-            // trips the watchdog as livelock.
-            watchdog.setProgressProbe([&world] {
-                return world.network().messageCount() +
-                       world.deliveryFailures();
-            });
-            watchdog.arm();
-        }
-        world.enableTracing();
-        if (opts.progress)
-            attachProgress(sim, opts.samplePeriodUs * 10.0);
-        apps::launch(world, *mpApp);
-        world.run();
-        bool verified = mpApp->verify();
-        trace::Trace collected = world.collectedTrace();
-        if (auto *tracker = obsSession.activity())
-            tracker->finish(sim.now());
-        // The replay below rebuilds the network; detach the tracker so
-        // the replayed traffic does not double-count comm spans on top
-        // of the application run just recorded.
-        obs::ScopedRankActivity detachActivity{nullptr};
-
-        core::ReplayOptions ropts;
-        ropts.sampler = obsSession.sampler();
-        ropts.samplePeriodUs = obsSession.samplePeriodUs();
-        if (injector) {
-            ropts.faults = &*injector;
-            ropts.enableWatchdog = true;
-            ropts.watchdog = opts.watchdog;
-        }
-        // The replay mesh is the network the static-strategy report
-        // describes, so the link sink restarts here: the replay
-        // re-declares the same topology and only its traffic enters
-        // the weather analysis.
-        if (auto *tracker = obsSession.linkStats())
-            tracker->reset();
-        auto replayed =
-            core::TraceReplayer::replay(collected, cfg.mesh, ropts);
-        core::NetworkSummary net;
-        net.latencyMean = replayed.latencyMean;
-        net.latencyMax = replayed.latencyMax;
-        net.contentionMean = replayed.contentionMean;
-        net.makespan = replayed.makespan;
-        net.avgChannelUtilization = replayed.avgChannelUtilization;
-        net.maxChannelUtilization = replayed.maxChannelUtilization;
-        report = pipeline.analyze(replayed.log, cfg.mesh, name,
-                                  core::Strategy::Static, net);
-        report.verified = verified;
-        logCopy = replayed.log;
-        if (injector) {
-            fillResilience(report.resilience, *injector,
-                           world.retransmits() + replayed.retransmits,
-                           world.deliveryFailures() +
-                               replayed.deliveryFailures,
-                           0);
-            report.resilience.rankRetransmits = world.rankRetransmits();
-            report.resilience.rankCorruptDiscards =
-                world.rankCorruptDiscards();
-        }
-        if (auto *tracker = obsSession.activity()) {
-            report.rankActivity =
-                core::RankActivityAnalyzer{}.analyze(*tracker,
-                                                     report.phases);
-        }
-        if (auto *tracker = obsSession.linkStats()) {
-            tracker->finish(replayed.makespan);
-            core::LinkWeatherConfig lwcfg;
-            lwcfg.topLinks = opts.topLinks;
-            report.linkStats = core::LinkWeatherAnalyzer{lwcfg}.analyze(
-                *tracker, cfg.mesh, report.phases);
-        }
-    } else {
+    std::unique_ptr<apps::SharedMemoryApp> app = makeSharedMemoryApp(name);
+    std::unique_ptr<apps::MessagePassingApp> mpApp =
+        app ? nullptr : makeMessagePassingApp(name);
+    if (!app && !mpApp) {
         std::cerr << "unknown application: " << name << "\n";
         return usage();
     }
-
-    if (report.rankActivity.enabled) {
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishRankMetrics(*reg, report.rankActivity);
+    core::RunSpec spec = specOf(opts, injector);
+    spec.sharedMemoryApp = app.get();
+    spec.messagePassingApp = mpApp.get();
+    spec.application = name;
+    if (opts.progress) {
+        spec.onAppSimulator = [&opts](desim::Simulator &sim) {
+            attachProgress(sim, opts.samplePeriodUs * 10.0);
+        };
     }
-    if (report.linkStats.enabled) {
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishLinkMetrics(*reg, report.linkStats);
-    }
-
-    if (!obsSession.finish())
-        return 1;
-
-    core::HtmlReportInputs html;
-    html.report = &report;
-    html.registry = obsSession.registry();
-    html.sampler = obsSession.sampler();
-    html.flows = obsSession.flows();
-    if (!opts.reportOut.empty()) {
-        core::AtomicFileWriter writer{opts.reportOut};
-        core::writeHtmlReport(writer.stream(), html);
-        writer.commit();
-        std::cerr << "wrote HTML report to " << opts.reportOut << "\n";
-    }
-
-    if (opts.reportMode) {
-        if (opts.reportOut.empty()) {
-            if (!opts.out.empty()) {
-                core::AtomicFileWriter writer{opts.out};
-                core::writeHtmlReport(writer.stream(), html);
-                writer.commit();
-                std::cerr << "wrote HTML report to " << opts.out
-                          << "\n";
-            } else {
-                core::writeHtmlReport(std::cout, html);
-            }
-        }
-        return report.verified ? 0 : 1;
-    }
-
-    if (opts.json)
-        report.writeJson(std::cout);
-    else
-        report.print(std::cout);
-    if (!report.verified) {
-        std::cerr << "WARNING: application verification FAILED\n";
-        return 1;
-    }
-    // The text phase profile would trail the JSON document and break
-    // `cchar ... --json | python3 -m json.tool` style consumers, so it
-    // is text-mode only.
-    if (opts.windows > 0 && !opts.json)
-        printWindows(logCopy, opts.windows);
-    if (opts.synthetic) {
-        auto v = core::validateModel(report);
-        std::cout << "\n-- Synthetic model validation --\n"
-                  << "  latency original " << v.originalLatencyMean
-                  << "us, synthetic " << v.syntheticLatencyMean
-                  << "us (" << v.latencyError() * 100.0 << "%)\n";
-    }
-    return 0;
+    return emitRun(opts, obsSession,
+                   core::runCharacterization(
+                       spec, pipelineOptions(opts, obsSession)));
 }
 
 int
@@ -794,68 +682,12 @@ cmdReplay(const std::string &path, const Options &opts)
     std::optional<fault::FaultInjector> injector;
     if (opts.faulted())
         injector.emplace(loadFaultPlan(opts));
-    core::ReplayOptions ropts;
-    ropts.sampler = obsSession.sampler();
-    ropts.samplePeriodUs = obsSession.samplePeriodUs();
-    if (injector) {
-        ropts.faults = &*injector;
-        ropts.enableWatchdog = true;
-        ropts.watchdog = opts.watchdog;
-    }
-    auto result = core::TraceReplayer::replay(t, meshOf(opts), ropts);
-    std::cout << "replayed " << result.log.size() << " messages: "
-              << "latency mean " << result.latencyMean
-              << "us, contention mean " << result.contentionMean
-              << "us, makespan " << result.makespan << "us\n";
-    if (injector) {
-        std::cout << "resilience: " << result.linkDrops
-                  << " link drops, " << result.droppedPackets
-                  << " drops, " << result.corruptedPackets
-                  << " corrupted, " << result.retransmits
-                  << " retransmits, " << result.deliveryFailures
-                  << " delivery failures\n";
-    }
-    core::CharacterizationPipeline pipeline;
-    core::NetworkSummary net;
-    net.latencyMean = result.latencyMean;
-    net.latencyMax = result.latencyMax;
-    net.contentionMean = result.contentionMean;
-    net.makespan = result.makespan;
-    net.avgChannelUtilization = result.avgChannelUtilization;
-    net.maxChannelUtilization = result.maxChannelUtilization;
-    auto report = pipeline.analyze(result.log, meshOf(opts), path,
-                                   core::Strategy::Static, net);
-    if (injector) {
-        fillResilience(report.resilience, *injector,
-                       result.retransmits, result.deliveryFailures,
-                       t.skippedRecords());
-    } else if (t.skippedRecords() > 0) {
-        report.resilience.enabled = true;
-        report.resilience.planDescription = "none (lenient ingest)";
-        report.resilience.traceRecordsSkipped = t.skippedRecords();
-    }
-    // A replay has no application threads, so the tracker only holds
-    // in-network comm spans — still useful as a per-rank traffic
-    // timeline, with no blocked intervals or skew.
-    if (auto *tracker = obsSession.activity()) {
-        tracker->finish(result.makespan);
-        report.rankActivity =
-            core::RankActivityAnalyzer{}.analyze(*tracker,
-                                                 report.phases);
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishRankMetrics(*reg, report.rankActivity);
-    }
-    if (auto *tracker = obsSession.linkStats()) {
-        tracker->finish(result.makespan);
-        core::LinkWeatherConfig lwcfg;
-        lwcfg.topLinks = opts.topLinks;
-        report.linkStats = core::LinkWeatherAnalyzer{lwcfg}.analyze(
-            *tracker, meshOf(opts), report.phases);
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishLinkMetrics(*reg, report.linkStats);
-    }
-    report.print(std::cout);
-    return obsSession.finish() ? 0 : 1;
+    core::RunSpec spec = specOf(opts, injector);
+    spec.trace = &t;
+    spec.application = path;
+    return emitRun(opts, obsSession,
+                   core::runCharacterization(
+                       spec, pipelineOptions(opts, obsSession)));
 }
 
 /**
@@ -879,6 +711,7 @@ cmdSynth(int argc, char **argv)
     }
     std::string modelPath = argv[2];
     Options opts;
+    opts.command = Command::Synth;
     core::SynthRunOptions ropts;
     int scaleProcs = 0;
     std::uint64_t messages = 0;
@@ -955,8 +788,6 @@ cmdSynth(int argc, char **argv)
                                        "synth: --top-links must be "
                                        ">= 1");
             }
-        } else if (arg == "--progress") {
-            opts.progress = true;
         } else {
             throw core::CCharError(core::StatusCode::UsageError,
                                    "synth: unknown option '" + arg +
@@ -975,86 +806,33 @@ cmdSynth(int argc, char **argv)
     // The trackers must be ambient before the generator builds its
     // MeshNetwork (components resolve the sinks at construction).
     ObsSession obsSession{opts};
-    core::DriveResult result =
-        core::SyntheticTrafficGenerator::run(model, ropts);
+    core::RunSpec spec;
+    spec.model = &model;
+    spec.synth = ropts;
+    spec.application = model.application.empty()
+                           ? modelPath
+                           : model.application + " (synthetic)";
+    core::RunResult run =
+        core::runCharacterization(spec, pipelineOptions(opts, obsSession));
 
-    core::PipelineOptions popts;
-    popts.detectPhases = opts.phases || !opts.reportOut.empty();
-    core::CharacterizationPipeline pipeline{popts};
-    core::NetworkSummary net;
-    net.latencyMean = result.latencyMean;
-    net.latencyMax = result.latencyMax;
-    net.contentionMean = result.contentionMean;
-    net.makespan = result.makespan;
-    net.avgChannelUtilization = result.avgChannelUtilization;
-    net.maxChannelUtilization = result.maxChannelUtilization;
-    std::string label = model.application.empty()
-                            ? modelPath
-                            : model.application + " (synthetic)";
-    core::CharacterizationReport report = pipeline.analyze(
-        result.log, model.mesh, label, core::Strategy::Static, net);
-    report.verified = true; // a model replay has no app invariant
+    core::SynthesisFidelity &sf = run.report.synthFidelity;
+    sf = core::computeSynthFidelity(model, run.drive.log);
+    sf.modelSource = modelPath;
+    sf.modelProcs = origProcs;
+    sf.scaleTiles = model.mesh.nodes() / origNodes;
+    sf.messageScale = origTotal > 0
+                          ? static_cast<double>(model.totalMessages()) /
+                                static_cast<double>(origTotal)
+                          : 1.0;
+    sf.seed = ropts.seed;
 
-    report.synthFidelity = core::computeSynthFidelity(model, result.log);
-    report.synthFidelity.modelSource = modelPath;
-    report.synthFidelity.modelProcs = origProcs;
-    report.synthFidelity.scaleTiles = model.mesh.nodes() / origNodes;
-    report.synthFidelity.messageScale =
-        origTotal > 0 ? static_cast<double>(model.totalMessages()) /
-                            static_cast<double>(origTotal)
-                      : 1.0;
-    report.synthFidelity.seed = ropts.seed;
-
-    if (auto *tracker = obsSession.activity()) {
-        tracker->finish(result.makespan);
-        report.rankActivity = core::RankActivityAnalyzer{}.analyze(
-            *tracker, report.phases);
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishRankMetrics(*reg, report.rankActivity);
-    }
-    if (auto *tracker = obsSession.linkStats()) {
-        tracker->finish(result.makespan);
-        core::LinkWeatherConfig lwcfg;
-        lwcfg.topLinks = opts.topLinks;
-        report.linkStats = core::LinkWeatherAnalyzer{lwcfg}.analyze(
-            *tracker, model.mesh, report.phases);
-        if (auto *reg = obsSession.mutableRegistry())
-            core::publishLinkMetrics(*reg, report.linkStats);
-    }
-
-    if (!obsSession.finish())
-        return 1;
-
-    if (!opts.reportOut.empty()) {
-        core::HtmlReportInputs html;
-        html.report = &report;
-        html.registry = obsSession.registry();
-        html.sampler = obsSession.sampler();
-        html.flows = obsSession.flows();
-        core::AtomicFileWriter writer{opts.reportOut};
-        core::writeHtmlReport(writer.stream(), html);
-        writer.commit();
-        std::cerr << "wrote HTML report to " << opts.reportOut << "\n";
-    }
-
-    if (opts.out.empty()) {
-        if (opts.json)
-            report.writeJson(std::cout);
-        else
-            report.print(std::cout);
-    } else {
-        core::AtomicFileWriter writer{opts.out, "synth"};
-        if (opts.json)
-            report.writeJson(writer.stream());
-        else
-            report.print(writer.stream());
-        writer.commit();
-    }
-    std::cerr << "synth: " << result.log.size() << " messages from "
-              << modelPath << " (KS temporal "
-              << report.synthFidelity.temporalKs << ", spatial "
-              << report.synthFidelity.spatialKs << ", volume "
-              << report.synthFidelity.volumeKs << ")\n";
+    int rc = emitRun(opts, obsSession, run);
+    if (rc != 0)
+        return rc;
+    std::cerr << "synth: " << run.drive.log.size() << " messages from "
+              << modelPath << " (KS temporal " << sf.temporalKs
+              << ", spatial " << sf.spatialKs << ", volume "
+              << sf.volumeKs << ")\n";
     return 0;
 }
 
@@ -1473,11 +1251,12 @@ main(int argc, char **argv)
         if (cmd == "characterize") {
             rc = cmdCharacterize(target, opts);
         } else if (cmd == "report") {
-            opts.reportMode = true;
+            opts.command = Command::Report;
             rc = cmdCharacterize(target, opts);
         } else if (cmd == "trace") {
             rc = cmdTrace(target, opts);
         } else if (cmd == "replay") {
+            opts.command = Command::Replay;
             rc = cmdReplay(target, opts);
         } else {
             return usage();

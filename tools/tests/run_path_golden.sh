@@ -1,0 +1,97 @@
+#!/bin/sh
+# Golden digests of the characterization run path: the SHA-256 of
+# stdout (and of --out / --csv files) for characterize, replay, synth
+# and sweep runs whose bytes the perfbench digests do not pin, plus
+# each run's exit code. Every listed output is deterministic; a digest
+# change means the run path changed what it computes or prints.
+#
+# Usage: run_path_golden.sh <cchar-binary> <workdir> [--print]
+#   --print  write the observed listing to stdout instead of checking
+#            it (to re-bless after an intended output change)
+set -eu
+
+B=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+D=$2
+MODE=${3:-check}
+rm -rf "$D"
+mkdir -p "$D"
+cd "$D"
+
+: > observed.txt
+
+# digest NAME FILE: record the SHA-256 of FILE under NAME.
+digest() {
+    echo "$1 $(sha256sum < "$2" | cut -d' ' -f1)" >> observed.txt
+}
+
+# run NAME ARGS...: run cchar, record its stdout digest and exit code.
+run() {
+    name=$1
+    shift
+    rc=0
+    "$B" "$@" > "$name.stdout" 2> "$name.stderr" || rc=$?
+    digest "$name" "$name.stdout"
+    echo "$name.rc $rc" >> observed.txt
+}
+
+run is_sinks characterize is --link-stats --rank-activity
+run mg_sinks characterize mg --link-stats --rank-activity
+run is_down characterize is --fault-plan 'link:5->6:down'
+run mg_down characterize mg --fault-plan 'link:5->6:down'
+run is_metrics characterize is --metrics-out is_metrics.json
+run mg_metrics characterize mg --metrics-out mg_metrics.json
+
+run mg_trace trace mg --out mg.trace
+digest mg_trace.file mg.trace
+run mg_replay replay mg.trace
+run mg_replay_drop replay mg.trace --fault-plan drop:p=0.01
+
+run is_model characterize is --json
+run synth_sinks synth is_model.stdout --link-stats --rank-activity
+
+run sweep sweep --apps is,mg --procs 16 --fault-plan none \
+    --fault-plan drop:p=0.01 --link-stats --rank-activity --synthetic \
+    --out sweep.json --csv sweep.csv
+digest sweep.json sweep.json
+digest sweep.csv sweep.csv
+
+if [ "$MODE" = "--print" ]; then
+    cat observed.txt
+    exit 0
+fi
+
+cat > expected.txt <<'EOF'
+is_sinks 3001a13b2eb5b194e26fb1ca316e24d3e9df140dc31a9ac3541f37c73bdc276b
+is_sinks.rc 0
+mg_sinks 5d92e2945117aca8c16aae22af11c38198905abc98c43acef3b4655640fec503
+mg_sinks.rc 0
+is_down df86c5d235d117e9183a71df01be015454bf6252d87adc661a16a4f1d26f8cd4
+is_down.rc 0
+mg_down e2d89d69dc1756bb26c05d6051733e8e9ec4445accb6a7c56c011eecea17e25a
+mg_down.rc 0
+is_metrics 193fa35c2c4932b21a9a60819f269bfe6757c9b329558f8b1efcb5a94b61f432
+is_metrics.rc 0
+mg_metrics ffe83b0cd43116c318d5827478e62b641e8701d132f790b6a01581b3ab4c1fa9
+mg_metrics.rc 0
+mg_trace 87b65b0e3d5cf09e018b9bd95a22acc574d9ffb43d18e091f15de696cf38a724
+mg_trace.rc 0
+mg_trace.file 757bbf5f01527077fa1798de7f9eec619c3e08c1c1c9085f6bdca63e8669ff24
+mg_replay 84bad2ff072551e7b0c39f5fb4faeba07580fb3d8db708a08c310afd47030b74
+mg_replay.rc 0
+mg_replay_drop 92ab56b782e8323786bd02770a68a09a27b21c157606b3efa0b5509d4bc66b07
+mg_replay_drop.rc 0
+is_model 031dbd9a2d53725c2444191f399bfd2887fe8f5f5de6955df8b7aed3102de3f3
+is_model.rc 0
+synth_sinks fea5ece35363bb6a025fbc7e148f5712536bf96edbd56cd3b740dd9ed721cf8e
+synth_sinks.rc 0
+sweep e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+sweep.rc 1
+sweep.json c2019f3d20e2086c860e8fa245c8281f65bcb3d447e50edd723631f17df6d6d0
+sweep.csv 9321fa128fffb407d109704a68de38213a70bcacfb71cd4218cc9eb220905313
+EOF
+
+if ! diff expected.txt observed.txt; then
+    echo "run_path_golden: outputs differ from the recorded digests" >&2
+    exit 1
+fi
+echo "run_path_golden: $(wc -l < observed.txt) digests match"
