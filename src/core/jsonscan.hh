@@ -88,13 +88,16 @@ class JsonScanner
                 if (pos_ >= text_.size())
                     fail("bad escape in JSON string");
                 char esc = text_[pos_++];
-                // Decode the standard single-character escapes so a
-                // string written by a conforming serializer (e.g. the
-                // sweep job journal, whose error messages carry
-                // newlines) round-trips exactly; unrecognized escapes
-                // keep the escaped character verbatim, preserving the
-                // scanner's historical tolerance.
+                // Decode the standard escapes so every string written
+                // by obs::writeJsonString (e.g. a sweep journal error
+                // message carrying newlines) round-trips exactly;
+                // unrecognized escapes keep the escaped character
+                // verbatim, preserving the scanner's historical
+                // tolerance.
                 switch (esc) {
+                case 'u':
+                    out += readAsciiEscape();
+                    break;
                 case 'n':
                     out += '\n';
                     break;
@@ -178,7 +181,56 @@ class JsonScanner
         return pos_ >= text_.size();
     }
 
+    /** {"key": value, ...}; onKey(key) consumes each value. */
+    template <class F>
+    void
+    readObject(F &&onKey)
+    {
+        expect('{');
+        if (consumeIf('}'))
+            return;
+        do {
+            std::string key = readString();
+            expect(':');
+            onKey(key);
+        } while (consumeIf(','));
+        expect('}');
+    }
+
+    /** [value, ...]; onItem() consumes each element. */
+    template <class F>
+    void
+    readArray(F &&onItem)
+    {
+        expect('[');
+        if (consumeIf(']'))
+            return;
+        do {
+            onItem();
+        } while (consumeIf(','));
+        expect(']');
+    }
+
   private:
+    /** The XXXX of a \uXXXX escape, limited to the ASCII range the
+     *  project's writer emits (\u0000-\u007f). */
+    char
+    readAsciiEscape()
+    {
+        std::string hex = text_.substr(pos_, 4);
+        for (char h : hex) {
+            if (!std::isxdigit(static_cast<unsigned char>(h)))
+                fail("bad \\u escape in JSON string");
+        }
+        if (hex.size() != 4)
+            fail("bad \\u escape in JSON string");
+        pos_ += 4;
+        unsigned long code = std::strtoul(hex.c_str(), nullptr, 16);
+        if (code > 0x7f)
+            fail("unsupported non-ASCII \\u escape in JSON string");
+        return static_cast<char>(code);
+    }
+
     const std::string &text_;
     std::string context_;
     std::size_t pos_ = 0;

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.hh"
 #include "stats/distributions.hh"
 
 namespace cchar::core {
@@ -15,6 +16,8 @@ toString(Strategy strategy)
 }
 
 namespace {
+
+using obs::writeJsonString;
 
 void
 printTemporal(std::ostream &os, const TemporalFit &fit)
@@ -263,18 +266,6 @@ namespace {
 
 /** Minimal JSON emission helpers (no external dependency). */
 void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
-void
 jsonTemporal(std::ostream &os, const TemporalFit &fit)
 {
     os << "{\"source\":" << fit.source << ",\"count\":"
@@ -282,7 +273,7 @@ jsonTemporal(std::ostream &os, const TemporalFit &fit)
        << ",\"cv\":" << fit.stats.cv;
     if (fit.fit.dist) {
         os << ",\"family\":";
-        jsonString(os, fit.fit.dist->name());
+        writeJsonString(os, fit.fit.dist->name());
         // Erlang's params() carries only the rate (the stage count k
         // is fixed from moments, never optimized), so k must ride
         // along separately or a model round-trip would lose it.
@@ -307,15 +298,15 @@ void
 CharacterizationReport::writeJson(std::ostream &os) const
 {
     os << "{\"application\":";
-    jsonString(os, application);
+    writeJsonString(os, application);
     os << ",\"strategy\":";
-    jsonString(os, toString(strategy));
+    writeJsonString(os, toString(strategy));
     os << ",\"nprocs\":" << nprocs << ",\"verified\":"
        << (verified ? "true" : "false");
     os << ",\"mesh\":{\"width\":" << mesh.width << ",\"height\":"
        << mesh.height << ",\"topology\":";
-    jsonString(os, mesh.topology == mesh::Topology::Torus ? "torus"
-                                                          : "mesh");
+    writeJsonString(os, mesh.topology == mesh::Topology::Torus ? "torus"
+                                                             : "mesh");
     os << ",\"vcs\":" << mesh.virtualChannels << "}";
 
     os << ",\"temporal\":{\"aggregate\":";
@@ -329,16 +320,16 @@ CharacterizationReport::writeJson(std::ostream &os) const
     os << "]}";
 
     os << ",\"spatial\":{\"aggregatePattern\":";
-    jsonString(os, stats::toString(spatialAggregate.pattern));
+    writeJsonString(os, stats::toString(spatialAggregate.pattern));
     os << ",\"structured\":";
-    jsonString(os, structured.describe());
+    writeJsonString(os, structured.describe());
     os << ",\"perSource\":[";
     for (std::size_t i = 0; i < spatialPerSource.size(); ++i) {
         const auto &sf = spatialPerSource[i];
         if (i)
             os << ",";
         os << "{\"source\":" << sf.source << ",\"pattern\":";
-        jsonString(os, stats::toString(sf.classification.pattern));
+        writeJsonString(os, stats::toString(sf.classification.pattern));
         os << ",\"tvd\":" << sf.classification.modelTvd
            << ",\"pmf\":[";
         for (std::size_t d = 0; d < sf.observed.size(); ++d)
@@ -383,7 +374,7 @@ CharacterizationReport::writeJson(std::ostream &os) const
                << ",\"temporal\":";
             jsonTemporal(os, ph.temporal);
             os << ",\"spatialPattern\":";
-            jsonString(os, stats::toString(ph.spatial.pattern));
+            writeJsonString(os, stats::toString(ph.spatial.pattern));
             os << "}";
         }
         os << "]";
@@ -402,9 +393,9 @@ CharacterizationReport::writeJson(std::ostream &os) const
     if (synthFidelity.enabled) {
         const SynthesisFidelity &sf = synthFidelity;
         os << ",\"synthFidelity\":{\"modelSource\":";
-        jsonString(os, sf.modelSource);
+        writeJsonString(os, sf.modelSource);
         os << ",\"modelApplication\":";
-        jsonString(os, sf.modelApplication);
+        writeJsonString(os, sf.modelApplication);
         os << ",\"modelProcs\":" << sf.modelProcs
            << ",\"scaleTiles\":" << sf.scaleTiles
            << ",\"messageScale\":" << sf.messageScale
@@ -421,7 +412,7 @@ CharacterizationReport::writeJson(std::ostream &os) const
     // byte-identically to earlier versions.
     if (resilience.enabled) {
         os << ",\"resilience\":{\"plan\":";
-        jsonString(os, resilience.planDescription);
+        writeJsonString(os, resilience.planDescription);
         os << ",\"faultsPlanned\":" << resilience.faultsPlanned
            << ",\"linkDrops\":" << resilience.linkDrops
            << ",\"droppedPackets\":" << resilience.droppedPackets
@@ -486,7 +477,7 @@ CharacterizationReport::writeJson(std::ostream &os) const
                     if (t)
                         os << ",";
                     os << "{\"state\":";
-                    jsonString(os, obs::rankStateName(tl[t].state));
+                    writeJsonString(os, obs::rankStateName(tl[t].state));
                     os << ",\"beginUs\":" << tl[t].beginUs
                        << ",\"endUs\":" << tl[t].endUs << "}";
                 }
@@ -536,7 +527,7 @@ CharacterizationReport::writeJson(std::ostream &os) const
                 os << ",";
             os << "{\"node\":" << row.node << ",\"toNode\":"
                << row.toNode << ",\"dir\":";
-            jsonString(os, obs::linkDirName(row.dir));
+            writeJsonString(os, obs::linkDirName(row.dir));
             os << ",\"vc\":" << row.vc << ",\"utilization\":"
                << row.utilization << ",\"packets\":" << row.packets
                << ",\"bytes\":" << row.bytes << ",\"stalls\":"

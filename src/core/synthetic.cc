@@ -112,23 +112,9 @@ skipValue(JsonScanner &s, int depth)
         s.fail("JSON nested too deeply");
     char c = s.peek();
     if (c == '{') {
-        s.expect('{');
-        if (s.consumeIf('}'))
-            return;
-        do {
-            s.readString();
-            s.expect(':');
-            skipValue(s, depth + 1);
-        } while (s.consumeIf(','));
-        s.expect('}');
+        s.readObject([&](const std::string &) { skipValue(s, depth + 1); });
     } else if (c == '[') {
-        s.expect('[');
-        if (s.consumeIf(']'))
-            return;
-        do {
-            skipValue(s, depth + 1);
-        } while (s.consumeIf(','));
-        s.expect(']');
+        s.readArray([&] { skipValue(s, depth + 1); });
     } else if (c == '"') {
         s.readString();
     } else if (c == 't' || c == 'f') {
@@ -136,36 +122,6 @@ skipValue(JsonScanner &s, int depth)
     } else {
         s.readNumber();
     }
-}
-
-/** {"key": value, ...}; onKey consumes each value. */
-template <typename F>
-void
-parseObject(JsonScanner &s, F &&onKey)
-{
-    s.expect('{');
-    if (s.consumeIf('}'))
-        return;
-    do {
-        std::string key = s.readString();
-        s.expect(':');
-        onKey(key);
-    } while (s.consumeIf(','));
-    s.expect('}');
-}
-
-/** [value, ...]; onItem consumes each element. */
-template <typename F>
-void
-parseArray(JsonScanner &s, F &&onItem)
-{
-    s.expect('[');
-    if (s.consumeIf(']'))
-        return;
-    do {
-        onItem();
-    } while (s.consumeIf(','));
-    s.expect(']');
 }
 
 double
@@ -200,7 +156,7 @@ TemporalJson
 parseTemporalFit(JsonScanner &s, const char *where)
 {
     TemporalJson t;
-    parseObject(s, [&](const std::string &key) {
+    s.readObject([&](const std::string &key) {
         if (key == "source") {
             t.source = readIntField(s, "temporal source");
         } else if (key == "family") {
@@ -209,7 +165,7 @@ parseTemporalFit(JsonScanner &s, const char *where)
         } else if (key == "stages") {
             t.stages = readIntField(s, "temporal stages");
         } else if (key == "params") {
-            parseArray(s, [&] {
+            s.readArray([&] {
                 t.params.push_back(readFinite(s, "temporal param"));
             });
         } else {
@@ -262,14 +218,14 @@ SyntheticModel::fromJson(const std::string &text)
     std::string topology = "mesh";
     int vcs = 1;
 
-    parseObject(s, [&](const std::string &key) {
+    s.readObject([&](const std::string &key) {
         if (key == "application") {
             model.application = s.readString();
         } else if (key == "nprocs") {
             model.nprocs = readIntField(s, "nprocs");
         } else if (key == "mesh") {
             sawMesh = true;
-            parseObject(s, [&](const std::string &mk) {
+            s.readObject([&](const std::string &mk) {
                 if (mk == "width")
                     model.mesh.width = readIntField(s, "mesh.width");
                 else if (mk == "height")
@@ -283,11 +239,11 @@ SyntheticModel::fromJson(const std::string &text)
             });
         } else if (key == "temporal") {
             sawTemporal = true;
-            parseObject(s, [&](const std::string &tk) {
+            s.readObject([&](const std::string &tk) {
                 if (tk == "aggregate") {
                     aggregate = parseTemporalFit(s, "temporal.aggregate");
                 } else if (tk == "perSource") {
-                    parseArray(s, [&] {
+                    s.readArray([&] {
                         perSource.push_back(parseTemporalFit(
                             s, "temporal.perSource entry"));
                     });
@@ -297,16 +253,16 @@ SyntheticModel::fromJson(const std::string &text)
             });
         } else if (key == "spatial") {
             sawSpatial = true;
-            parseObject(s, [&](const std::string &sk) {
+            s.readObject([&](const std::string &sk) {
                 if (sk == "perSource") {
-                    parseArray(s, [&] {
+                    s.readArray([&] {
                         SpatialJson sj;
-                        parseObject(s, [&](const std::string &pk) {
+                        s.readObject([&](const std::string &pk) {
                             if (pk == "source") {
                                 sj.source = readIntField(
                                     s, "spatial.perSource source");
                             } else if (pk == "pmf") {
-                                parseArray(s, [&] {
+                                s.readArray([&] {
                                     double p = readFinite(
                                         s, "spatial.perSource pmf entry");
                                     if (p < 0.0)
@@ -326,12 +282,12 @@ SyntheticModel::fromJson(const std::string &text)
             });
         } else if (key == "volume") {
             sawVolume = true;
-            parseObject(s, [&](const std::string &vk) {
+            s.readObject([&](const std::string &vk) {
                 if (vk == "lengthPmf") {
-                    parseArray(s, [&] {
+                    s.readArray([&] {
                         int bytes = 0;
                         double p = 0.0;
-                        parseObject(s, [&](const std::string &lk) {
+                        s.readObject([&](const std::string &lk) {
                             if (lk == "bytes")
                                 bytes = readIntField(
                                     s, "volume.lengthPmf bytes");
@@ -349,7 +305,7 @@ SyntheticModel::fromJson(const std::string &text)
                     });
                 } else if (vk == "perSourceCounts") {
                     sawCounts = true;
-                    parseArray(s, [&] {
+                    s.readArray([&] {
                         double c = readFinite(
                             s, "volume.perSourceCounts entry");
                         if (c < 0.0 || c > kMaxSourceMessages)
@@ -362,9 +318,9 @@ SyntheticModel::fromJson(const std::string &text)
                 }
             });
         } else if (key == "phases") {
-            parseArray(s, [&] {
+            s.readArray([&] {
                 PhaseModel pm;
-                parseObject(s, [&](const std::string &pk) {
+                s.readObject([&](const std::string &pk) {
                     if (pk == "index") {
                         pm.index = readIntField(s, "phase index");
                     } else if (pk == "tBegin") {
@@ -402,7 +358,9 @@ SyntheticModel::fromJson(const std::string &text)
         s.fail("mesh object is missing");
     if (model.mesh.width < 1 || model.mesh.height < 1)
         s.fail("mesh.width and mesh.height must be >= 1");
-    if (model.mesh.nodes() > kMaxModelNodes)
+    // 64-bit product: MeshConfig::nodes() would overflow int on a
+    // hostile board before the bound could reject it.
+    if (std::int64_t{model.mesh.width} * model.mesh.height > kMaxModelNodes)
         s.fail("mesh describes more than 2^20 nodes");
     if (model.nprocs > model.mesh.nodes())
         s.fail("nprocs exceeds the mesh node count");

@@ -4,6 +4,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "json.hh"
+
 namespace cchar::obs {
 
 int
@@ -156,18 +158,6 @@ MetricsRegistry::reset()
 
 namespace {
 
-void
-jsonName(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
 /** Finite numbers verbatim; infinities become null (strict JSON). */
 void
 jsonNumber(std::ostream &os, double v)
@@ -217,7 +207,7 @@ MetricsRegistry::writeJson(std::ostream &os) const
         if (!first)
             os << ",";
         first = false;
-        jsonName(os, name);
+        writeJsonString(os, name);
         os << ":" << counterSlots_[idx];
     }
     os << "},\"gauges\":{";
@@ -226,7 +216,7 @@ MetricsRegistry::writeJson(std::ostream &os) const
         if (!first)
             os << ",";
         first = false;
-        jsonName(os, name);
+        writeJsonString(os, name);
         os << ":";
         jsonNumber(os, gaugeSlots_[idx]);
     }
@@ -237,7 +227,7 @@ MetricsRegistry::writeJson(std::ostream &os) const
         if (!first)
             os << ",";
         first = false;
-        jsonName(os, name);
+        writeJsonString(os, name);
         os << ":{\"count\":" << h.count << ",\"sum\":";
         jsonNumber(os, h.sum);
         os << ",\"min\":";

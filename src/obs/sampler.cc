@@ -4,6 +4,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "json.hh"
+
 namespace cchar::obs {
 
 std::size_t
@@ -42,18 +44,6 @@ WindowedSampler::seriesValues(std::size_t i) const
 namespace {
 
 void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
-void
 jsonArray(std::ostream &os, const std::vector<double> &xs)
 {
     os << "[";
@@ -76,7 +66,7 @@ WindowedSampler::writeJson(std::ostream &os) const
     for (std::size_t i = 0; i < series_.size(); ++i) {
         if (i)
             os << ",";
-        jsonString(os, series_[i].name);
+        writeJsonString(os, series_[i].name);
         os << ":";
         jsonArray(os, series_[i].values);
     }

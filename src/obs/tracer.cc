@@ -4,6 +4,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "json.hh"
+
 namespace cchar::obs {
 
 Tracer::Tracer(std::size_t capacity)
@@ -135,18 +137,6 @@ Tracer::clear()
 namespace {
 
 void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
-void
 jsonTime(std::ostream &os, double v)
 {
     // Timestamps are nonnegative finite sim times by construction, but
@@ -169,7 +159,7 @@ Tracer::writeChromeJson(std::ostream &os) const
         os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
               "\"tid\":"
            << laneId << ",\"args\":{\"name\":";
-        jsonString(os, laneNames_[laneId]);
+        writeJsonString(os, laneNames_[laneId]);
         os << "}},{\"name\":\"thread_sort_index\",\"ph\":\"M\","
               "\"pid\":1,\"tid\":"
            << laneId << ",\"args\":{\"sort_index\":" << laneId << "}}";
@@ -179,7 +169,7 @@ Tracer::writeChromeJson(std::ostream &os) const
             os << ",";
         first = false;
         os << "{\"name\":";
-        jsonString(os, eventNames_[static_cast<std::size_t>(rec.name)]);
+        writeJsonString(os, eventNames_[static_cast<std::size_t>(rec.name)]);
         switch (rec.kind) {
           case RecordKind::Instant:
             os << ",\"ph\":\"i\",\"s\":\"t\"";

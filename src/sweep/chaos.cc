@@ -7,6 +7,7 @@
 
 #include "core/status.hh"
 #include "engine.hh"
+#include "obs/json.hh"
 #include "obs/registry.hh"
 #include "spec.hh"
 #include "stats/rng.hh"
@@ -15,27 +16,7 @@ namespace cchar::sweep {
 
 namespace {
 
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        default:
-            os << c;
-        }
-    }
-    os << '"';
-}
+using obs::writeJsonString;
 
 /** Fixed classification order for reports (then raw tags). */
 const char *const kClasses[] = {
@@ -267,7 +248,8 @@ ChaosHarness::run(int workers, bool progress)
         spec.faultPlans.push_back(p.render());
 
     SweepEngine engine{spec};
-    SweepResult campaign = engine.run(workers, progress);
+    SweepResult campaign =
+        engine.run({.workers = workers, .progress = progress});
 
     ChaosResult result;
     result.seed = opts_.seed;
@@ -364,20 +346,20 @@ ChaosResult::writeJson(std::ostream &os) const
             os << ",";
         first = false;
         os << "{\"index\":" << j.index << ",\"app\":";
-        jsonEscape(os, j.app);
+        writeJsonString(os, j.app);
         os << ",\"plan\":";
-        jsonEscape(os, j.plan);
+        writeJsonString(os, j.plan);
         os << ",\"classification\":";
-        jsonEscape(os, j.classification);
+        writeJsonString(os, j.classification);
         os << ",\"status\":";
-        jsonEscape(os, j.status);
+        writeJsonString(os, j.status);
         os << ",\"delivery_failures\":" << j.deliveryFailures
            << ",\"retransmits\":" << j.retransmits
            << ",\"rerouted_packets\":" << j.reroutedPackets
            << ",\"link_drops\":" << j.linkDrops;
         if (j.failing()) {
             os << ",\"shrunk_plan\":";
-            jsonEscape(os, j.shrunkPlan);
+            writeJsonString(os, j.shrunkPlan);
             os << ",\"shrunk_faults\":" << j.shrunkFaults
                << ",\"shrink_runs\":" << j.shrinkRuns;
         }

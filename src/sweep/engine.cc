@@ -10,6 +10,7 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "apps/registry.hh"
 #include "core/analyzers.hh"
@@ -20,6 +21,7 @@
 #include "fault/injector.hh"
 #include "fault/plan.hh"
 #include "journal.hh"
+#include "obs/json.hh"
 #include "obs/obs.hh"
 #include "policy.hh"
 #include "stats/spatial.hh"
@@ -27,6 +29,8 @@
 namespace cchar::sweep {
 
 namespace {
+
+using obs::writeJsonString;
 
 /**
  * Gauges derived from wall-clock measurement (or from worker
@@ -49,34 +53,6 @@ const char *const kWallClockGauges[] = {
     "sweep.worker.jobs_max",
     "sweep.resumed_jobs",
 };
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        case '\r':
-            os << "\\r";
-            break;
-        default:
-            os << c;
-        }
-    }
-    os << '"';
-}
 
 void
 jsonNumber(std::ostream &os, double v)
@@ -105,6 +81,45 @@ csvField(std::ostream &os, const std::string &s)
         os << c;
     }
     os << '"';
+}
+
+/** One column value in the JSON report. */
+template <class T>
+void
+jsonValue(std::ostream &os, const T &v)
+{
+    if constexpr (std::is_same_v<T, double>)
+        jsonNumber(os, v);
+    else if constexpr (std::is_same_v<T, std::string>)
+        writeJsonString(os, v);
+    else if constexpr (std::is_same_v<T, bool>)
+        os << (v ? "true" : "false");
+    else
+        os << v;
+}
+
+/** One column value in the CSV: as in JSON, but RFC 4180 strings and
+ *  1/0 booleans. */
+template <class T>
+void
+csvValue(std::ostream &os, const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        csvField(os, v);
+    else if constexpr (std::is_same_v<T, bool>)
+        os << (v ? 1 : 0);
+    else
+        jsonValue(os, v);
+}
+
+/** Call fn(field, value) for every column of `o`: the job's, then the
+ *  outcome's. */
+template <class Fn>
+void
+forEachColumn(const JobOutcome &o, Fn &&fn)
+{
+    forEachField(kJobFields, o.job, fn);
+    forEachField(kOutcomeFields, o, fn);
 }
 
 void
@@ -760,71 +775,15 @@ SweepResult::writeJson(std::ostream &os) const
         if (!first)
             os << ",";
         first = false;
-        os << "{\"index\":" << o.job.index << ",\"app\":";
-        jsonEscape(os, o.job.app);
-        os << ",\"procs\":" << o.job.procs << ",\"width\":" << o.job.width
-           << ",\"height\":" << o.job.height
-           << ",\"torus\":" << (o.job.torus ? "true" : "false")
-           << ",\"vcs\":" << o.job.vcs << ",\"load\":";
-        jsonNumber(os, o.job.load);
-        os << ",\"seed\":" << o.job.seed << ",\"fault_plan\":";
-        jsonEscape(os, o.job.faultPlan);
-        os << ",\"status\":";
-        jsonEscape(os, o.status);
-        os << ",\"error\":";
-        jsonEscape(os, o.error);
-        os << ",\"verified\":" << (o.verified ? "true" : "false")
-           << ",\"messages\":" << o.messages << ",\"total_bytes\":";
-        jsonNumber(os, o.totalBytes);
-        os << ",\"latency_mean_us\":";
-        jsonNumber(os, o.latencyMean);
-        os << ",\"latency_max_us\":";
-        jsonNumber(os, o.latencyMax);
-        os << ",\"contention_mean_us\":";
-        jsonNumber(os, o.contentionMean);
-        os << ",\"makespan_us\":";
-        jsonNumber(os, o.makespan);
-        os << ",\"avg_channel_utilization\":";
-        jsonNumber(os, o.avgChannelUtilization);
-        os << ",\"max_channel_utilization\":";
-        jsonNumber(os, o.maxChannelUtilization);
-        os << ",\"temporal_fit\":";
-        jsonEscape(os, o.temporalFit);
-        os << ",\"spatial_pattern\":";
-        jsonEscape(os, o.spatialPattern);
-        os << ",\"dropped_packets\":" << o.droppedPackets
-           << ",\"corrupted_packets\":" << o.corruptedPackets
-           << ",\"link_drops\":" << o.linkDrops
-           << ",\"retransmits\":" << o.retransmits
-           << ",\"delivery_failures\":" << o.deliveryFailures
-           << ",\"rerouted_packets\":" << o.reroutedPackets
-           << ",\"reroute_extra_hops\":" << o.rerouteExtraHops
-           << ",\"diag_warnings\":" << o.diagWarnings
-           << ",\"diag_errors\":" << o.diagErrors
-           << ",\"skew_max_us\":";
-        jsonNumber(os, o.skewMaxUs);
-        os << ",\"idle_fraction_mean\":";
-        jsonNumber(os, o.idleFractionMean);
-        os << ",\"idle_waves\":" << o.idleWaves
-           << ",\"wave_speed_max\":";
-        jsonNumber(os, o.waveSpeedMax);
-        os << ",\"max_link_util\":";
-        jsonNumber(os, o.maxLinkUtil);
-        os << ",\"link_gini\":";
-        jsonNumber(os, o.linkGini);
-        os << ",\"hotspot_count\":" << o.hotspotCount
-           << ",\"congestion_onset_load\":";
-        jsonNumber(os, o.congestionOnsetLoad);
-        os << ",\"synth_latency_err\":";
-        jsonNumber(os, o.synthLatencyErr);
-        os << ",\"synth_temporal_ks\":";
-        jsonNumber(os, o.synthTemporalKs);
-        os << ",\"synth_spatial_ks\":";
-        jsonNumber(os, o.synthSpatialKs);
-        os << ",\"synth_volume_ks\":";
-        jsonNumber(os, o.synthVolumeKs);
-        os << ",\"attempts\":" << o.attempts << ",\"quarantined\":"
-           << (o.quarantined ? "true" : "false") << "}";
+        char open = '{';
+        forEachColumn(o, [&](const auto &field, const auto &value) {
+            os << open;
+            open = ',';
+            writeJsonString(os, field.name);
+            os << ":";
+            jsonValue(os, value);
+        });
+        os << "}";
     }
     os << "],\"failures\":" << failures();
     // Degraded-results section: present only when at least one job
@@ -839,13 +798,13 @@ SweepResult::writeJson(std::ostream &os) const
                 os << ",";
             firstDegraded = false;
             os << "{\"index\":" << o.job.index << ",\"app\":";
-            jsonEscape(os, o.job.app);
+            writeJsonString(os, o.job.app);
             os << ",\"label\":";
-            jsonEscape(os, o.job.label());
+            writeJsonString(os, o.job.label());
             os << ",\"status\":";
-            jsonEscape(os, o.status);
+            writeJsonString(os, o.status);
             os << ",\"attempts\":" << o.attempts << ",\"error\":";
-            jsonEscape(os, o.error);
+            writeJsonString(os, o.error);
             os << "}";
         }
         os << "]";
@@ -861,72 +820,25 @@ SweepResult::writeJson(std::ostream &os) const
 void
 SweepResult::writeCsv(std::ostream &os) const
 {
-    os << "index,app,procs,width,height,torus,vcs,load,seed,fault_plan,"
-          "status,verified,messages,total_bytes,latency_mean_us,"
-          "latency_max_us,contention_mean_us,makespan_us,"
-          "avg_channel_utilization,max_channel_utilization,temporal_fit,"
-          "spatial_pattern,dropped_packets,corrupted_packets,link_drops,"
-          "retransmits,delivery_failures,rerouted_packets,"
-          "reroute_extra_hops,diag_warnings,diag_errors,"
-          "skew_max_us,idle_fraction_mean,idle_waves,wave_speed_max,"
-          "max_link_util,link_gini,hotspot_count,"
-          "congestion_onset_load,synth_latency_err,synth_temporal_ks,"
-          "synth_spatial_ks,synth_volume_ks,attempts,quarantined\n";
+    // Header: the column names, visited through a default outcome.
+    const char *sep = "";
+    forEachColumn(JobOutcome{}, [&](const auto &field, const auto &) {
+        if (field.inCsv) {
+            os << sep << field.name;
+            sep = ",";
+        }
+    });
+    os << "\n";
     for (const JobOutcome &o : outcomes) {
-        os << o.job.index << ",";
-        csvField(os, o.job.app);
-        os << "," << o.job.procs << "," << o.job.width << ","
-           << o.job.height << "," << (o.job.torus ? 1 : 0) << ","
-           << o.job.vcs << ",";
-        jsonNumber(os, o.job.load);
-        os << "," << o.job.seed << ",";
-        csvField(os, o.job.faultPlan);
-        os << ",";
-        csvField(os, o.status);
-        os << "," << (o.verified ? 1 : 0) << "," << o.messages << ",";
-        jsonNumber(os, o.totalBytes);
-        os << ",";
-        jsonNumber(os, o.latencyMean);
-        os << ",";
-        jsonNumber(os, o.latencyMax);
-        os << ",";
-        jsonNumber(os, o.contentionMean);
-        os << ",";
-        jsonNumber(os, o.makespan);
-        os << ",";
-        jsonNumber(os, o.avgChannelUtilization);
-        os << ",";
-        jsonNumber(os, o.maxChannelUtilization);
-        os << ",";
-        csvField(os, o.temporalFit);
-        os << ",";
-        csvField(os, o.spatialPattern);
-        os << "," << o.droppedPackets << "," << o.corruptedPackets << ","
-           << o.linkDrops << "," << o.retransmits << ","
-           << o.deliveryFailures << "," << o.reroutedPackets << ","
-           << o.rerouteExtraHops << "," << o.diagWarnings << ","
-           << o.diagErrors << ",";
-        jsonNumber(os, o.skewMaxUs);
-        os << ",";
-        jsonNumber(os, o.idleFractionMean);
-        os << "," << o.idleWaves << ",";
-        jsonNumber(os, o.waveSpeedMax);
-        os << ",";
-        jsonNumber(os, o.maxLinkUtil);
-        os << ",";
-        jsonNumber(os, o.linkGini);
-        os << "," << o.hotspotCount << ",";
-        jsonNumber(os, o.congestionOnsetLoad);
-        os << ",";
-        jsonNumber(os, o.synthLatencyErr);
-        os << ",";
-        jsonNumber(os, o.synthTemporalKs);
-        os << ",";
-        jsonNumber(os, o.synthSpatialKs);
-        os << ",";
-        jsonNumber(os, o.synthVolumeKs);
-        os << "," << o.attempts << "," << (o.quarantined ? 1 : 0)
-           << "\n";
+        sep = "";
+        forEachColumn(o, [&](const auto &field, const auto &value) {
+            if (field.inCsv) {
+                os << sep;
+                sep = ",";
+                csvValue(os, value);
+            }
+        });
+        os << "\n";
     }
 }
 

@@ -34,6 +34,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "obs/registry.hh"
@@ -118,6 +119,94 @@ struct JobOutcome
 
     bool ok() const { return status == "ok"; }
 };
+
+/**
+ * One column of a sweep record: its name in every format, the member
+ * that holds it, and whether the CSV carries it. The member pointer's
+ * type is the column's kind (u64, int, double, string or bool); each
+ * format renders and parses by kind (see SweepResult::writeJson and
+ * writeCsv, and the journal in journal.cc).
+ */
+template <class Record>
+struct Field
+{
+    const char *name;
+    std::variant<std::uint64_t Record::*, int Record::*, double Record::*,
+                 std::string Record::*, bool Record::*>
+        member;
+    /** False: JSON and journal only. */
+    bool inCsv = true;
+};
+
+/** SweepJob columns, in report order. */
+inline constexpr Field<SweepJob> kJobFields[] = {
+    {"index", &SweepJob::index},
+    {"app", &SweepJob::app},
+    {"procs", &SweepJob::procs},
+    {"width", &SweepJob::width},
+    {"height", &SweepJob::height},
+    {"torus", &SweepJob::torus},
+    {"vcs", &SweepJob::vcs},
+    {"load", &SweepJob::load},
+    {"seed", &SweepJob::seed},
+    {"fault_plan", &SweepJob::faultPlan},
+};
+
+/**
+ * JobOutcome columns, in report order. The last kOrchestrationFields
+ * (attempts, quarantined) are the orchestration columns, which a
+ * journal record writes first.
+ */
+inline constexpr Field<JobOutcome> kOutcomeFields[] = {
+    {"status", &JobOutcome::status},
+    {"error", &JobOutcome::error, /*inCsv=*/false},
+    {"verified", &JobOutcome::verified},
+    {"messages", &JobOutcome::messages},
+    {"total_bytes", &JobOutcome::totalBytes},
+    {"latency_mean_us", &JobOutcome::latencyMean},
+    {"latency_max_us", &JobOutcome::latencyMax},
+    {"contention_mean_us", &JobOutcome::contentionMean},
+    {"makespan_us", &JobOutcome::makespan},
+    {"avg_channel_utilization", &JobOutcome::avgChannelUtilization},
+    {"max_channel_utilization", &JobOutcome::maxChannelUtilization},
+    {"temporal_fit", &JobOutcome::temporalFit},
+    {"spatial_pattern", &JobOutcome::spatialPattern},
+    {"dropped_packets", &JobOutcome::droppedPackets},
+    {"corrupted_packets", &JobOutcome::corruptedPackets},
+    {"link_drops", &JobOutcome::linkDrops},
+    {"retransmits", &JobOutcome::retransmits},
+    {"delivery_failures", &JobOutcome::deliveryFailures},
+    {"rerouted_packets", &JobOutcome::reroutedPackets},
+    {"reroute_extra_hops", &JobOutcome::rerouteExtraHops},
+    {"diag_warnings", &JobOutcome::diagWarnings},
+    {"diag_errors", &JobOutcome::diagErrors},
+    {"skew_max_us", &JobOutcome::skewMaxUs},
+    {"idle_fraction_mean", &JobOutcome::idleFractionMean},
+    {"idle_waves", &JobOutcome::idleWaves},
+    {"wave_speed_max", &JobOutcome::waveSpeedMax},
+    {"max_link_util", &JobOutcome::maxLinkUtil},
+    {"link_gini", &JobOutcome::linkGini},
+    {"hotspot_count", &JobOutcome::hotspotCount},
+    {"congestion_onset_load", &JobOutcome::congestionOnsetLoad},
+    {"synth_latency_err", &JobOutcome::synthLatencyErr},
+    {"synth_temporal_ks", &JobOutcome::synthTemporalKs},
+    {"synth_spatial_ks", &JobOutcome::synthSpatialKs},
+    {"synth_volume_ks", &JobOutcome::synthVolumeKs},
+    {"attempts", &JobOutcome::attempts},
+    {"quarantined", &JobOutcome::quarantined},
+};
+inline constexpr std::size_t kOrchestrationFields = 2;
+
+/** Call fn(field, value) for each of `fields`, value being the member
+ *  of `rec` it names (const when rec is). */
+template <class Fields, class Record, class Fn>
+void
+forEachField(const Fields &fields, Record &rec, Fn &&fn)
+{
+    for (const auto &field : fields)
+        std::visit([&](auto member) { fn(field, rec.*member); },
+                   field.member);
+}
 
 /**
  * Wall-clock view of one worker thread: fraction of the sweep's wall
@@ -218,16 +307,6 @@ class SweepEngine
      *         in the corresponding outcome.
      */
     SweepResult run(const SweepRunOptions &opts);
-
-    /** Compatibility shim for the pre-orchestration call sites. */
-    SweepResult
-    run(int workers, bool progress = false)
-    {
-        SweepRunOptions opts;
-        opts.workers = workers;
-        opts.progress = progress;
-        return run(opts);
-    }
 
     /**
      * Run one job in the calling thread (used by workers and tests).

@@ -5,13 +5,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "core/jsonscan.hh"
 #include "core/status.hh"
+#include "obs/json.hh"
 
 namespace cchar::sweep {
 
@@ -19,6 +22,8 @@ using core::CCharError;
 using core::StatusCode;
 
 namespace {
+
+using obs::writeJsonString;
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
@@ -75,40 +80,6 @@ hexDouble(std::ostream &os, double v)
     os << '"' << buf << '"';
 }
 
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        case '\r':
-            os << "\\r";
-            break;
-        case '\b':
-            os << "\\b";
-            break;
-        case '\f':
-            os << "\\f";
-            break;
-        default:
-            os << c;
-        }
-    }
-    os << '"';
-}
-
 [[noreturn]] void
 parseFail(const std::string &what)
 {
@@ -140,6 +111,98 @@ parseHexDouble(core::JsonScanner &js)
     return v;
 }
 
+/**
+ * The columns a record carries, in its key order: the job's index (the
+ * rest of the job is rebound from the spec on resume), the
+ * orchestration columns, then the rest of the outcome.
+ */
+constexpr std::span<const Field<SweepJob>> kRecordJob =
+    std::span{kJobFields}.first(1);
+constexpr std::span<const Field<JobOutcome>> kRecordOutcome{kOutcomeFields};
+
+/** One column value in a record: exact hexfloat doubles. */
+template <class T>
+void
+writeValue(std::ostream &os, const T &v)
+{
+    if constexpr (std::is_same_v<T, double>)
+        hexDouble(os, v);
+    else if constexpr (std::is_same_v<T, std::string>)
+        writeJsonString(os, v);
+    else if constexpr (std::is_same_v<T, bool>)
+        os << (v ? "true" : "false");
+    else
+        os << v;
+}
+
+/** Inverse of writeValue. */
+template <class T>
+void
+readValue(core::JsonScanner &js, T &v)
+{
+    if constexpr (std::is_same_v<T, double>)
+        v = parseHexDouble(js);
+    else if constexpr (std::is_same_v<T, std::string>)
+        v = js.readString();
+    else if constexpr (std::is_same_v<T, bool>)
+        v = js.readBool();
+    else
+        v = static_cast<T>(js.readUInt());
+}
+
+/**
+ * If one of `fields` is named `key`, read its value into `rec` and
+ * tick its `seen` flag; a repeated key is a ParseError.
+ */
+template <class Record>
+bool
+readColumn(core::JsonScanner &js, const std::string &key,
+           std::span<const Field<Record>> fields, Record &rec,
+           std::vector<bool> &seen)
+{
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+        if (key != fields[i].name)
+            continue;
+        if (seen[i])
+            js.fail("duplicate record key '" + key + "'");
+        seen[i] = true;
+        std::visit([&](auto member) { readValue(js, rec.*member); },
+                   fields[i].member);
+        return true;
+    }
+    return false;
+}
+
+/** A record lacking any of `fields` is a ParseError. */
+template <class Record>
+void
+requireColumns(core::JsonScanner &js, std::span<const Field<Record>> fields,
+               const std::vector<bool> &seen)
+{
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+        if (!seen[i])
+            js.fail(std::string{"record lacks key '"} + fields[i].name +
+                    "'");
+    }
+}
+
+/** {"name":value,...} over (name, value) pairs; put writes a value. */
+template <class Pairs, class Put>
+void
+writeMembers(std::ostream &os, const Pairs &pairs, Put &&put)
+{
+    os << "{";
+    const char *sep = "";
+    for (const auto &[name, value] : pairs) {
+        os << sep;
+        sep = ",";
+        writeJsonString(os, name);
+        os << ":";
+        put(value);
+    }
+    os << "}";
+}
+
 JournalRecord
 captureRecord(const JobOutcome &outcome,
               const obs::MetricsRegistry &registry)
@@ -154,6 +217,37 @@ captureRecord(const JobOutcome &outcome,
     return record;
 }
 
+obs::HistogramData
+parseHistogram(core::JsonScanner &js)
+{
+    obs::HistogramData data;
+    js.readObject([&](const std::string &key) {
+        if (key == "count") {
+            data.count = js.readUInt();
+        } else if (key == "sum") {
+            data.sum = parseHexDouble(js);
+        } else if (key == "min") {
+            data.min = parseHexDouble(js);
+        } else if (key == "max") {
+            data.max = parseHexDouble(js);
+        } else if (key == "buckets") {
+            js.readArray([&] {
+                js.expect('[');
+                std::uint64_t b = js.readUInt();
+                if (b >= static_cast<std::uint64_t>(
+                             obs::HistogramData::kBuckets))
+                    js.fail("bucket index out of range");
+                js.expect(',');
+                data.buckets[static_cast<std::size_t>(b)] = js.readUInt();
+                js.expect(']');
+            });
+        } else {
+            js.fail("unknown histogram key '" + key + "'");
+        }
+    });
+    return data;
+}
+
 /** Parse the {...} body shared by live and reparsed records. */
 JournalRecord
 parseRecordBody(core::JsonScanner &js)
@@ -161,179 +255,38 @@ parseRecordBody(core::JsonScanner &js)
     JournalRecord record;
     JobOutcome &o = record.outcome;
     bool sawType = false;
-    js.expect('{');
-    for (;;) {
-        std::string key = js.readString();
-        js.expect(':');
+    std::vector<bool> seenJob(kRecordJob.size());
+    std::vector<bool> seenOutcome(kRecordOutcome.size());
+    js.readObject([&](const std::string &key) {
         if (key == "type") {
             if (js.readString() != "job")
                 js.fail("record type is not 'job'");
             sawType = true;
         } else if (key == "hash") {
             record.hash = parseHexHash(js.readString());
-        } else if (key == "index") {
-            o.job.index = static_cast<std::size_t>(js.readUInt());
-        } else if (key == "attempts") {
-            o.attempts = static_cast<int>(js.readUInt());
-        } else if (key == "quarantined") {
-            o.quarantined = js.readBool();
-        } else if (key == "status") {
-            o.status = js.readString();
-        } else if (key == "error") {
-            o.error = js.readString();
-        } else if (key == "verified") {
-            o.verified = js.readBool();
-        } else if (key == "messages") {
-            o.messages = js.readUInt();
-        } else if (key == "total_bytes") {
-            o.totalBytes = parseHexDouble(js);
-        } else if (key == "latency_mean_us") {
-            o.latencyMean = parseHexDouble(js);
-        } else if (key == "latency_max_us") {
-            o.latencyMax = parseHexDouble(js);
-        } else if (key == "contention_mean_us") {
-            o.contentionMean = parseHexDouble(js);
-        } else if (key == "makespan_us") {
-            o.makespan = parseHexDouble(js);
-        } else if (key == "avg_channel_utilization") {
-            o.avgChannelUtilization = parseHexDouble(js);
-        } else if (key == "max_channel_utilization") {
-            o.maxChannelUtilization = parseHexDouble(js);
-        } else if (key == "temporal_fit") {
-            o.temporalFit = js.readString();
-        } else if (key == "spatial_pattern") {
-            o.spatialPattern = js.readString();
-        } else if (key == "dropped_packets") {
-            o.droppedPackets = js.readUInt();
-        } else if (key == "corrupted_packets") {
-            o.corruptedPackets = js.readUInt();
-        } else if (key == "link_drops") {
-            o.linkDrops = js.readUInt();
-        } else if (key == "retransmits") {
-            o.retransmits = js.readUInt();
-        } else if (key == "delivery_failures") {
-            o.deliveryFailures = js.readUInt();
-        } else if (key == "rerouted_packets") {
-            o.reroutedPackets = js.readUInt();
-        } else if (key == "reroute_extra_hops") {
-            o.rerouteExtraHops = js.readUInt();
-        } else if (key == "diag_warnings") {
-            o.diagWarnings = js.readUInt();
-        } else if (key == "diag_errors") {
-            o.diagErrors = js.readUInt();
-        } else if (key == "skew_max_us") {
-            o.skewMaxUs = parseHexDouble(js);
-        } else if (key == "idle_fraction_mean") {
-            o.idleFractionMean = parseHexDouble(js);
-        } else if (key == "idle_waves") {
-            o.idleWaves = js.readUInt();
-        } else if (key == "wave_speed_max") {
-            o.waveSpeedMax = parseHexDouble(js);
-        } else if (key == "max_link_util") {
-            o.maxLinkUtil = parseHexDouble(js);
-        } else if (key == "link_gini") {
-            o.linkGini = parseHexDouble(js);
-        } else if (key == "hotspot_count") {
-            o.hotspotCount = js.readUInt();
-        } else if (key == "congestion_onset_load") {
-            o.congestionOnsetLoad = parseHexDouble(js);
-        } else if (key == "synth_latency_err") {
-            o.synthLatencyErr = parseHexDouble(js);
-        } else if (key == "synth_temporal_ks") {
-            o.synthTemporalKs = parseHexDouble(js);
-        } else if (key == "synth_spatial_ks") {
-            o.synthSpatialKs = parseHexDouble(js);
-        } else if (key == "synth_volume_ks") {
-            o.synthVolumeKs = parseHexDouble(js);
         } else if (key == "counters") {
-            js.expect('{');
-            if (!js.consumeIf('}')) {
-                for (;;) {
-                    std::string name = js.readString();
-                    js.expect(':');
-                    record.counters.emplace_back(name, js.readUInt());
-                    if (!js.consumeIf(','))
-                        break;
-                }
-                js.expect('}');
-            }
+            js.readObject([&](const std::string &name) {
+                record.counters.emplace_back(name, js.readUInt());
+            });
         } else if (key == "gauges") {
-            js.expect('{');
-            if (!js.consumeIf('}')) {
-                for (;;) {
-                    std::string name = js.readString();
-                    js.expect(':');
-                    record.gauges.emplace_back(name,
-                                               parseHexDouble(js));
-                    if (!js.consumeIf(','))
-                        break;
-                }
-                js.expect('}');
-            }
+            js.readObject([&](const std::string &name) {
+                record.gauges.emplace_back(name, parseHexDouble(js));
+            });
         } else if (key == "histograms") {
-            js.expect('{');
-            if (!js.consumeIf('}')) {
-                for (;;) {
-                    std::string name = js.readString();
-                    js.expect(':');
-                    obs::HistogramData data;
-                    js.expect('{');
-                    for (;;) {
-                        std::string hkey = js.readString();
-                        js.expect(':');
-                        if (hkey == "count") {
-                            data.count = js.readUInt();
-                        } else if (hkey == "sum") {
-                            data.sum = parseHexDouble(js);
-                        } else if (hkey == "min") {
-                            data.min = parseHexDouble(js);
-                        } else if (hkey == "max") {
-                            data.max = parseHexDouble(js);
-                        } else if (hkey == "buckets") {
-                            js.expect('[');
-                            if (!js.consumeIf(']')) {
-                                for (;;) {
-                                    js.expect('[');
-                                    auto b = js.readUInt();
-                                    if (b >= static_cast<std::uint64_t>(
-                                                 obs::HistogramData::
-                                                     kBuckets))
-                                        js.fail("bucket index out of "
-                                                "range");
-                                    js.expect(',');
-                                    data.buckets[static_cast<
-                                        std::size_t>(b)] = js.readUInt();
-                                    js.expect(']');
-                                    if (!js.consumeIf(','))
-                                        break;
-                                }
-                                js.expect(']');
-                            }
-                        } else {
-                            js.fail("unknown histogram key '" + hkey +
-                                    "'");
-                        }
-                        if (!js.consumeIf(','))
-                            break;
-                    }
-                    js.expect('}');
-                    record.histograms.emplace_back(name, data);
-                    if (!js.consumeIf(','))
-                        break;
-                }
-                js.expect('}');
-            }
-        } else {
+            js.readObject([&](const std::string &name) {
+                record.histograms.emplace_back(name, parseHistogram(js));
+            });
+        } else if (!readColumn(js, key, kRecordJob, o.job, seenJob) &&
+                   !readColumn(js, key, kRecordOutcome, o, seenOutcome)) {
             js.fail("unknown record key '" + key + "'");
         }
-        if (!js.consumeIf(','))
-            break;
-    }
-    js.expect('}');
+    });
     if (!js.atEnd())
         js.fail("trailing characters after record");
     if (!sawType)
         js.fail("record without type");
+    requireColumns(js, kRecordJob, seenJob);
+    requireColumns(js, kRecordOutcome, seenOutcome);
     return record;
 }
 
@@ -384,106 +337,41 @@ formatJournalRecord(const JournalRecord &record)
     const JobOutcome &o = record.outcome;
     std::ostringstream os;
     os << "{\"type\":\"job\",\"hash\":\"" << hexHash(record.hash)
-       << "\",\"index\":" << o.job.index
-       << ",\"attempts\":" << o.attempts << ",\"quarantined\":"
-       << (o.quarantined ? "true" : "false") << ",\"status\":";
-    jsonEscape(os, o.status);
-    os << ",\"error\":";
-    jsonEscape(os, o.error);
-    os << ",\"verified\":" << (o.verified ? "true" : "false")
-       << ",\"messages\":" << o.messages << ",\"total_bytes\":";
-    hexDouble(os, o.totalBytes);
-    os << ",\"latency_mean_us\":";
-    hexDouble(os, o.latencyMean);
-    os << ",\"latency_max_us\":";
-    hexDouble(os, o.latencyMax);
-    os << ",\"contention_mean_us\":";
-    hexDouble(os, o.contentionMean);
-    os << ",\"makespan_us\":";
-    hexDouble(os, o.makespan);
-    os << ",\"avg_channel_utilization\":";
-    hexDouble(os, o.avgChannelUtilization);
-    os << ",\"max_channel_utilization\":";
-    hexDouble(os, o.maxChannelUtilization);
-    os << ",\"temporal_fit\":";
-    jsonEscape(os, o.temporalFit);
-    os << ",\"spatial_pattern\":";
-    jsonEscape(os, o.spatialPattern);
-    os << ",\"dropped_packets\":" << o.droppedPackets
-       << ",\"corrupted_packets\":" << o.corruptedPackets
-       << ",\"link_drops\":" << o.linkDrops
-       << ",\"retransmits\":" << o.retransmits
-       << ",\"delivery_failures\":" << o.deliveryFailures
-       << ",\"rerouted_packets\":" << o.reroutedPackets
-       << ",\"reroute_extra_hops\":" << o.rerouteExtraHops
-       << ",\"diag_warnings\":" << o.diagWarnings
-       << ",\"diag_errors\":" << o.diagErrors << ",\"skew_max_us\":";
-    hexDouble(os, o.skewMaxUs);
-    os << ",\"idle_fraction_mean\":";
-    hexDouble(os, o.idleFractionMean);
-    os << ",\"idle_waves\":" << o.idleWaves << ",\"wave_speed_max\":";
-    hexDouble(os, o.waveSpeedMax);
-    os << ",\"max_link_util\":";
-    hexDouble(os, o.maxLinkUtil);
-    os << ",\"link_gini\":";
-    hexDouble(os, o.linkGini);
-    os << ",\"hotspot_count\":" << o.hotspotCount
-       << ",\"congestion_onset_load\":";
-    hexDouble(os, o.congestionOnsetLoad);
-    os << ",\"synth_latency_err\":";
-    hexDouble(os, o.synthLatencyErr);
-    os << ",\"synth_temporal_ks\":";
-    hexDouble(os, o.synthTemporalKs);
-    os << ",\"synth_spatial_ks\":";
-    hexDouble(os, o.synthSpatialKs);
-    os << ",\"synth_volume_ks\":";
-    hexDouble(os, o.synthVolumeKs);
-    os << ",\"counters\":{";
-    bool first = true;
-    for (const auto &[name, value] : record.counters) {
-        if (!first)
-            os << ",";
-        first = false;
-        jsonEscape(os, name);
-        os << ":" << value;
-    }
-    os << "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, value] : record.gauges) {
-        if (!first)
-            os << ",";
-        first = false;
-        jsonEscape(os, name);
+       << "\"";
+    auto column = [&](const auto &field, const auto &value) {
+        os << ",";
+        writeJsonString(os, field.name);
         os << ":";
-        hexDouble(os, value);
-    }
-    os << "},\"histograms\":{";
-    first = true;
-    for (const auto &[name, data] : record.histograms) {
-        if (!first)
-            os << ",";
-        first = false;
-        jsonEscape(os, name);
-        os << ":{\"count\":" << data.count << ",\"sum\":";
-        hexDouble(os, data.sum);
+        writeValue(os, value);
+    };
+    const std::size_t split = kRecordOutcome.size() - kOrchestrationFields;
+    forEachField(kRecordJob, o.job, column);
+    forEachField(kRecordOutcome.subspan(split), o, column);
+    forEachField(kRecordOutcome.first(split), o, column);
+    os << ",\"counters\":";
+    writeMembers(os, record.counters, [&](std::uint64_t v) { os << v; });
+    os << ",\"gauges\":";
+    writeMembers(os, record.gauges, [&](double v) { hexDouble(os, v); });
+    os << ",\"histograms\":";
+    writeMembers(os, record.histograms, [&](const obs::HistogramData &h) {
+        os << "{\"count\":" << h.count << ",\"sum\":";
+        hexDouble(os, h.sum);
         os << ",\"min\":";
-        hexDouble(os, data.min);
+        hexDouble(os, h.min);
         os << ",\"max\":";
-        hexDouble(os, data.max);
+        hexDouble(os, h.max);
         os << ",\"buckets\":[";
-        bool firstBucket = true;
+        const char *sep = "";
         for (int b = 0; b < obs::HistogramData::kBuckets; ++b) {
-            std::uint64_t n = data.buckets[static_cast<std::size_t>(b)];
-            if (!n)
-                continue;
-            if (!firstBucket)
-                os << ",";
-            firstBucket = false;
-            os << "[" << b << "," << n << "]";
+            std::uint64_t n = h.buckets[static_cast<std::size_t>(b)];
+            if (n) {
+                os << sep << "[" << b << "," << n << "]";
+                sep = ",";
+            }
         }
         os << "]}";
-    }
-    os << "}}\n";
+    });
+    os << "}\n";
     return os.str();
 }
 
@@ -518,10 +406,7 @@ parseJournal(const std::string &text)
     {
         core::JsonScanner js{lines[0], "sweep journal"};
         bool sawType = false, sawVersion = false;
-        js.expect('{');
-        for (;;) {
-            std::string key = js.readString();
-            js.expect(':');
+        js.readObject([&](const std::string &key) {
             if (key == "type") {
                 if (js.readString() != "cchar-sweep-journal")
                     js.fail("not a sweep journal");
@@ -537,10 +422,7 @@ parseJournal(const std::string &text)
             } else {
                 js.fail("unknown header key '" + key + "'");
             }
-            if (!js.consumeIf(','))
-                break;
-        }
-        js.expect('}');
+        });
         if (!js.atEnd())
             js.fail("trailing characters after header");
         if (!sawType || !sawVersion)

@@ -54,7 +54,9 @@
  * loader therefore tolerates an unparseable or unterminated *last*
  * line (the record is dropped with a diagnostic and the job simply
  * reruns); a malformed line anywhere earlier is a ParseError,
- * because it cannot be explained by a single interrupted append.
+ * because it cannot be explained by a single interrupted append. A
+ * record must hold each column of the sweep field tables exactly once
+ * (engine.hh); one that lacks or repeats a column is malformed.
  * Duplicate records for one index are last-wins (a rerun appends a
  * fresh record rather than rewriting the file).
  */

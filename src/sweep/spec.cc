@@ -157,93 +157,49 @@ SweepSpec::fromJson(const std::string &text)
     SweepSpec spec;
     core::JsonScanner js{text, "sweep spec"};
     bool haveLoads = false, haveSeeds = false, havePlans = false;
-    js.expect('{');
-    if (!js.consumeIf('}')) {
-        for (;;) {
-            std::string key = js.readString();
-            js.expect(':');
-            if (key == "apps") {
-                js.expect('[');
-                if (!js.consumeIf(']')) {
-                    for (;;) {
-                        spec.apps.push_back(js.readString());
-                        if (!js.consumeIf(','))
-                            break;
-                    }
-                    js.expect(']');
-                }
-            } else if (key == "procs") {
-                js.expect('[');
-                if (!js.consumeIf(']')) {
-                    for (;;) {
-                        spec.procs.push_back(
-                            static_cast<int>(js.readNumber()));
-                        if (!js.consumeIf(','))
-                            break;
-                    }
-                    js.expect(']');
-                }
-            } else if (key == "loads") {
-                if (!haveLoads) {
-                    spec.loads.clear();
-                    haveLoads = true;
-                }
-                js.expect('[');
-                if (!js.consumeIf(']')) {
-                    for (;;) {
-                        spec.loads.push_back(js.readNumber());
-                        if (!js.consumeIf(','))
-                            break;
-                    }
-                    js.expect(']');
-                }
-            } else if (key == "seeds") {
-                if (!haveSeeds) {
-                    spec.seeds.clear();
-                    haveSeeds = true;
-                }
-                js.expect('[');
-                if (!js.consumeIf(']')) {
-                    for (;;) {
-                        spec.seeds.push_back(
-                            static_cast<std::uint64_t>(js.readNumber()));
-                        if (!js.consumeIf(','))
-                            break;
-                    }
-                    js.expect(']');
-                }
-            } else if (key == "fault_plans") {
-                if (!havePlans) {
-                    spec.faultPlans.clear();
-                    havePlans = true;
-                }
-                js.expect('[');
-                if (!js.consumeIf(']')) {
-                    for (;;) {
-                        spec.faultPlans.push_back(js.readString());
-                        if (!js.consumeIf(','))
-                            break;
-                    }
-                    js.expect(']');
-                }
-            } else if (key == "torus") {
-                spec.torus = js.readBool();
-            } else if (key == "vcs") {
-                spec.vcs = static_cast<int>(js.readNumber());
-            } else if (key == "rank_activity") {
-                spec.rankActivity = js.readBool();
-            } else if (key == "link_stats") {
-                spec.linkStats = js.readBool();
-            } else if (key == "synthetic") {
-                spec.synthetic = js.readBool();
-            } else {
-                js.fail("unknown spec key '" + key + "'");
+    js.readObject([&](const std::string &key) {
+        if (key == "apps") {
+            js.readArray([&] { spec.apps.push_back(js.readString()); });
+        } else if (key == "procs") {
+            js.readArray([&] {
+                spec.procs.push_back(static_cast<int>(js.readNumber()));
+            });
+        } else if (key == "loads") {
+            if (!haveLoads) {
+                spec.loads.clear();
+                haveLoads = true;
             }
-            if (!js.consumeIf(','))
-                break;
+            js.readArray([&] { spec.loads.push_back(js.readNumber()); });
+        } else if (key == "seeds") {
+            if (!haveSeeds) {
+                spec.seeds.clear();
+                haveSeeds = true;
+            }
+            js.readArray([&] {
+                spec.seeds.push_back(
+                    static_cast<std::uint64_t>(js.readNumber()));
+            });
+        } else if (key == "fault_plans") {
+            if (!havePlans) {
+                spec.faultPlans.clear();
+                havePlans = true;
+            }
+            js.readArray(
+                [&] { spec.faultPlans.push_back(js.readString()); });
+        } else if (key == "torus") {
+            spec.torus = js.readBool();
+        } else if (key == "vcs") {
+            spec.vcs = static_cast<int>(js.readNumber());
+        } else if (key == "rank_activity") {
+            spec.rankActivity = js.readBool();
+        } else if (key == "link_stats") {
+            spec.linkStats = js.readBool();
+        } else if (key == "synthetic") {
+            spec.synthetic = js.readBool();
+        } else {
+            js.fail("unknown spec key '" + key + "'");
         }
-        js.expect('}');
-    }
+    });
     if (!js.atEnd())
         js.fail("trailing characters after JSON spec");
     return spec;

@@ -16,6 +16,8 @@
 #include "apps/fft1d.hh"
 #include "apps/fft3d.hh"
 #include "core/core.hh"
+#include "core/jsonscan.hh"
+#include "obs/json.hh"
 #include "obs/obs.hh"
 
 namespace {
@@ -212,6 +214,24 @@ TEST(MiniJson, AcceptsAndRejects)
 
 // --------------------------------------------------------------------
 // Metrics registry
+
+TEST(JsonString, EveryAsciiByteRoundTripsThroughWriterAndScanner)
+{
+    for (int c = 0x01; c <= 0x7f; ++c) {
+        const std::string original = std::string{"a"} +
+                                     static_cast<char>(c) + "z";
+        std::ostringstream os;
+        obs::writeJsonString(os, original);
+        const std::string doc = os.str();
+        // Strict JSON: no raw control byte, whatever the input held.
+        for (char b : doc)
+            EXPECT_GE(static_cast<unsigned char>(b), 0x20) << "byte " << c;
+        EXPECT_TRUE(wellFormedJson(doc)) << "byte " << c << ": " << doc;
+        core::JsonScanner js{doc, "json string"};
+        EXPECT_EQ(js.readString(), original) << "byte " << c;
+        EXPECT_TRUE(js.atEnd()) << "byte " << c;
+    }
+}
 
 TEST(Registry, CounterInterningAndValues)
 {

@@ -172,7 +172,7 @@ runMatrix(int workers)
     spec.faultPlans = {"", "drop:p=0.001"};
 
     SweepEngine engine{spec};
-    SweepResult result = engine.run(workers);
+    SweepResult result = engine.run({.workers = workers});
     std::ostringstream json, csv;
     result.writeJson(json);
     result.writeCsv(csv);
@@ -193,7 +193,7 @@ TEST(SweepEngine, OutcomesCarryJobAttribution)
     spec.apps = {"is"};
     spec.procs = {4};
     SweepEngine engine{spec};
-    SweepResult result = engine.run(2);
+    SweepResult result = engine.run({.workers = 2});
     ASSERT_EQ(result.outcomes.size(), 1u);
     const auto &o = result.outcomes[0];
     EXPECT_EQ(o.job.app, "is");
@@ -212,7 +212,7 @@ TEST(SweepEngine, FailedJobsAreRecordedNotThrown)
     spec.seeds = {7};
     spec.faultPlans = {"drop:p=0.001"};
     SweepEngine engine{spec};
-    SweepResult result = engine.run(1);
+    SweepResult result = engine.run({.workers = 1});
     ASSERT_EQ(result.outcomes.size(), 1u);
     EXPECT_NE(result.outcomes[0].status, "ok");
     EXPECT_FALSE(result.outcomes[0].error.empty());

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "apps/diag.hh"
@@ -170,40 +173,36 @@ randomRecord(std::mt19937 &rng, std::uint64_t index)
     std::uniform_real_distribution<double> uni(-1.0, 1.0);
     std::uniform_int_distribution<std::uint64_t> big(
         0, std::numeric_limits<std::uint64_t>::max());
+    std::uniform_int_distribution<int> small(0, 1000);
 
     JournalRecord rec;
     rec.hash = big(rng);
     JobOutcome &o = rec.outcome;
     o.job.index = static_cast<std::size_t>(index);
-    o.status = (index % 3 == 0) ? "ok" : "sim-error";
-    o.error = (index % 3 == 0)
-                  ? ""
-                  : "line1\nline2\ttabbed \"quoted\" b\\slash";
-    o.verified = index % 2 == 0;
-    o.attempts = static_cast<int>(index % 4 + 1);
-    o.quarantined = index % 5 == 0;
-    // Values past 2^53 must survive (doubles cannot carry them).
-    o.messages = big(rng);
-    o.droppedPackets = big(rng);
-    o.idleWaves = big(rng);
-    o.hotspotCount = big(rng);
-    // Awkward doubles: denormal, negative zero, exact binary dyadics,
-    // and full-entropy mantissas.
-    o.totalBytes = uni(rng) * 1e12;
+    // Every outcome column gets a value no other column shares, so a
+    // reader that fills the wrong member cannot go unnoticed. Integers
+    // span the full 64 bits (doubles cannot carry values past 2^53);
+    // strings carry quotes, backslashes and control bytes.
+    sweep::forEachField(
+        sweep::kOutcomeFields, o, [&](const auto &field, auto &value) {
+            using T = std::decay_t<decltype(value)>;
+            if constexpr (std::is_same_v<T, double>)
+                value = uni(rng) * 1e6;
+            else if constexpr (std::is_same_v<T, std::string>)
+                value = std::string{field.name} +
+                        "\n\t\"quoted\" b\\slash \x01\x1f,";
+            else if constexpr (std::is_same_v<T, bool>)
+                value = big(rng) % 2 == 0;
+            else if constexpr (std::is_same_v<T, int>)
+                value = small(rng);
+            else
+                value = big(rng);
+        });
+    // Awkward doubles: denormal, negative zero, DBL_MAX and a tiny one.
     o.latencyMean = 5e-324; // smallest denormal
     o.latencyMax = -0.0;
-    o.contentionMean = uni(rng);
     o.makespan = 0x1.fffffffffffffp+1023; // DBL_MAX
-    o.avgChannelUtilization = uni(rng);
-    o.maxChannelUtilization = uni(rng);
     o.skewMaxUs = uni(rng) * 1e-300;
-    o.idleFractionMean = uni(rng);
-    o.waveSpeedMax = uni(rng);
-    o.maxLinkUtil = uni(rng);
-    o.linkGini = uni(rng);
-    o.congestionOnsetLoad = uni(rng);
-    o.temporalFit = "exponential";
-    o.spatialPattern = "p=0.5,\"odd\"";
 
     rec.counters.emplace_back("a.count", big(rng));
     rec.counters.emplace_back("b.count", std::uint64_t{0});
@@ -221,8 +220,31 @@ randomRecord(std::mt19937 &rng, std::uint64_t index)
     return rec;
 }
 
+/** Equal values; doubles compared bit for bit (-0.0 != 0.0). */
+template <class T>
+bool
+sameBits(const T &a, const T &b)
+{
+    if constexpr (std::is_same_v<T, double>)
+        return std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b);
+    else
+        return a == b;
+}
+
 TEST(JournalFormat, ParseFormatFixpointOnRandomRecords)
 {
+    // The comparison below goes through the column table, so first
+    // make sure no two columns share a name or a member.
+    const auto &fields = sweep::kOutcomeFields;
+    for (std::size_t a = 0; a < std::size(fields); ++a) {
+        for (std::size_t b = a + 1; b < std::size(fields); ++b) {
+            EXPECT_STRNE(fields[a].name, fields[b].name);
+            EXPECT_NE(fields[a].member, fields[b].member)
+                << fields[a].name << " / " << fields[b].name;
+        }
+    }
+
     std::mt19937 rng{12345};
     for (std::uint64_t i = 0; i < 50; ++i) {
         JournalRecord rec = randomRecord(rng, i);
@@ -239,14 +261,18 @@ TEST(JournalFormat, ParseFormatFixpointOnRandomRecords)
         EXPECT_EQ(sweep::formatJournalRecord(rec), again)
             << "iteration " << i;
 
+        // Every journaled column survives exactly.
         const JobOutcome &o = parsed.records[0].outcome;
-        EXPECT_EQ(o.messages, rec.outcome.messages);
-        EXPECT_EQ(o.error, rec.outcome.error);
-        // Bitwise double equality, not approximate.
-        EXPECT_EQ(std::signbit(o.latencyMax),
-                  std::signbit(rec.outcome.latencyMax));
-        EXPECT_EQ(o.latencyMean, rec.outcome.latencyMean);
-        EXPECT_EQ(o.makespan, rec.outcome.makespan);
+        EXPECT_EQ(parsed.records[0].hash, rec.hash);
+        EXPECT_EQ(o.job.index, rec.outcome.job.index);
+        for (const auto &field : sweep::kOutcomeFields) {
+            std::visit(
+                [&](auto member) {
+                    EXPECT_TRUE(sameBits(o.*member, rec.outcome.*member))
+                        << field.name << ", iteration " << i;
+                },
+                field.member);
+        }
         ASSERT_EQ(parsed.records[0].histograms.size(), 1u);
         EXPECT_EQ(parsed.records[0].histograms[0].second.buckets,
                   rec.histograms[0].second.buckets);
@@ -297,6 +323,36 @@ TEST(JournalFormat, MalformedMidlineIsFatal)
                       "{\"type\":\"job\",\"hash\":garbage}\n" +
                       sweep::formatJournalRecord(randomRecord(rng, 1));
     EXPECT_THROW(sweep::parseJournal(doc), core::CCharError);
+}
+
+TEST(JournalFormat, MissingOrRepeatedColumnIsFatalMidFile)
+{
+    std::mt19937 rng{101};
+    const std::string header = sweep::formatJournalHeader(7, 3);
+    const std::string line =
+        sweep::formatJournalRecord(randomRecord(rng, 1));
+
+    // A record without its synth_volume_ks column, and one that
+    // repeats attempts.
+    std::string missing = line;
+    std::size_t at = missing.find(",\"synth_volume_ks\":");
+    ASSERT_NE(at, std::string::npos);
+    missing.erase(at, missing.find(",\"", at + 1) - at);
+    std::string repeated = line;
+    repeated.insert(repeated.find(",\"counters\":"), ",\"attempts\":2");
+
+    for (const std::string &bad : {missing, repeated}) {
+        EXPECT_THROW(sweep::parseJournal(header + bad + line),
+                     core::CCharError)
+            << bad;
+        // As the final line it is indistinguishable from a torn
+        // append: dropped, and the job reruns.
+        JournalContents parsed;
+        ASSERT_NO_THROW(parsed = sweep::parseJournal(header + line + bad))
+            << bad;
+        EXPECT_TRUE(parsed.truncatedTail);
+        EXPECT_EQ(parsed.records.size(), 1u);
+    }
 }
 
 TEST(JournalFormat, BadHeaderIsFatal)
@@ -500,8 +556,8 @@ TEST(Orchestration, ThrowingJobDoesNotKillThePool)
     spec.loads = {0.2, 0.4};
     spec.seeds = {1, 2};
 
-    SweepResult serial = SweepEngine{spec}.run(1);
-    SweepResult wide = SweepEngine{spec}.run(4);
+    SweepResult serial = SweepEngine{spec}.run({.workers = 1});
+    SweepResult wide = SweepEngine{spec}.run({.workers = 4});
     EXPECT_EQ(jsonOf(serial), jsonOf(wide));
     EXPECT_EQ(csvOf(serial), csvOf(wide));
     EXPECT_GT(serial.failures(), 0u);

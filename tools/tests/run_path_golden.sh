@@ -1,8 +1,9 @@
 #!/bin/sh
 # Golden digests of the characterization run path: the SHA-256 of
-# stdout (and of --out / --csv files) for characterize, replay, synth
-# and sweep runs whose bytes the perfbench digests do not pin, plus
-# each run's exit code. Every listed output is deterministic; a digest
+# stdout (and of --out / --csv / --journal files) for characterize,
+# replay, synth and sweep runs whose bytes the perfbench digests do not
+# pin, plus each run's exit code. A sweep resumed from a two-record
+# prefix of the journal must match the uninterrupted run. Every listed output is deterministic; a digest
 # change means the run path changed what it computes or prints.
 #
 # Usage: run_path_golden.sh <cchar-binary> <workdir> [--print]
@@ -22,6 +23,15 @@ cd "$D"
 # digest NAME FILE: record the SHA-256 of FILE under NAME.
 digest() {
     echo "$1 $(sha256sum < "$2" | cut -d' ' -f1)" >> observed.txt
+}
+
+# digest_journal NAME FILE: digest a sweep journal with each record's
+# desim.events_per_sec gauge blanked. That gauge is a wall-clock rate;
+# every other journal byte is deterministic.
+digest_journal() {
+    sed 's/"desim\.events_per_sec":"[^"]*"/"desim.events_per_sec":"-"/g' \
+        "$2" > "$2.norm"
+    digest "$1" "$2.norm"
 }
 
 # run NAME ARGS...: run cchar, record its stdout digest and exit code.
@@ -49,11 +59,25 @@ run mg_replay_drop replay mg.trace --fault-plan drop:p=0.01
 run is_model characterize is --json
 run synth_sinks synth is_model.stdout --link-stats --rank-activity
 
-run sweep sweep --apps is,mg --procs 16 --fault-plan none \
-    --fault-plan drop:p=0.01 --link-stats --rank-activity --synthetic \
-    --out sweep.json --csv sweep.csv
+SWEEP="--apps is,mg --procs 16 --fault-plan none --fault-plan drop:p=0.01
+       --link-stats --rank-activity --synthetic"
+# shellcheck disable=SC2086
+run sweep sweep $SWEEP --out sweep.json --csv sweep.csv \
+    --journal sweep.jsonl
 digest sweep.json sweep.json
 digest sweep.csv sweep.csv
+digest_journal sweep.jsonl sweep.jsonl
+
+# Resume from the header plus the first two records: the merged
+# report must reproduce the uninterrupted sweep.json / sweep.csv, and
+# the completed journal the uninterrupted one.
+head -n 3 sweep.jsonl > resume.jsonl
+# shellcheck disable=SC2086
+run resume sweep $SWEEP --resume resume.jsonl --out resume.json \
+    --csv resume.csv
+digest resume.json resume.json
+digest resume.csv resume.csv
+digest_journal resume.jsonl resume.jsonl
 
 if [ "$MODE" = "--print" ]; then
     cat observed.txt
@@ -88,6 +112,12 @@ sweep e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 sweep.rc 1
 sweep.json c2019f3d20e2086c860e8fa245c8281f65bcb3d447e50edd723631f17df6d6d0
 sweep.csv 9321fa128fffb407d109704a68de38213a70bcacfb71cd4218cc9eb220905313
+sweep.jsonl 0b3485190d0ed7ba20139125ae2fe10a2fb7e091f2c013a444196f057792977a
+resume e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+resume.rc 1
+resume.json c2019f3d20e2086c860e8fa245c8281f65bcb3d447e50edd723631f17df6d6d0
+resume.csv 9321fa128fffb407d109704a68de38213a70bcacfb71cd4218cc9eb220905313
+resume.jsonl 0b3485190d0ed7ba20139125ae2fe10a2fb7e091f2c013a444196f057792977a
 EOF
 
 if ! diff expected.txt observed.txt; then
