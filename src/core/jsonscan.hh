@@ -218,11 +218,10 @@ class JsonScanner
     readAsciiEscape()
     {
         std::string hex = text_.substr(pos_, 4);
-        for (char h : hex) {
-            if (!std::isxdigit(static_cast<unsigned char>(h)))
-                fail("bad \\u escape in JSON string");
-        }
-        if (hex.size() != 4)
+        bool ok = hex.size() == 4;
+        for (char h : hex)
+            ok = ok && std::isxdigit(static_cast<unsigned char>(h));
+        if (!ok)
             fail("bad \\u escape in JSON string");
         pos_ += 4;
         unsigned long code = std::strtoul(hex.c_str(), nullptr, 16);

@@ -231,6 +231,11 @@ TEST(JsonString, EveryAsciiByteRoundTripsThroughWriterAndScanner)
         EXPECT_EQ(js.readString(), original) << "byte " << c;
         EXPECT_TRUE(js.atEnd()) << "byte " << c;
     }
+    // Malformed, truncated and non-ASCII \u escapes are rejected.
+    for (std::string bad : {"\"\\u00g1\"", "\"\\u00\"", "\"\\u00e9\""}) {
+        core::JsonScanner js{bad, "json string"};
+        EXPECT_THROW(js.readString(), core::CCharError) << bad;
+    }
 }
 
 TEST(Registry, CounterInterningAndValues)
