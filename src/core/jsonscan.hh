@@ -15,6 +15,7 @@
 #define CCHAR_CORE_JSONSCAN_HH
 
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -130,20 +131,22 @@ class JsonScanner
      * Exact unsigned 64-bit integer. readNumber() goes through a
      * double and silently loses precision past 2^53, which is not
      * acceptable for event counters round-tripping through the sweep
-     * job journal.
+     * job journal. A sign, fraction, exponent or value past 2^64-1
+     * is an error, not a silent truncation.
      */
     std::uint64_t
     readUInt()
     {
         skipWs();
-        if (pos_ >= text_.size() ||
-            !std::isdigit(static_cast<unsigned char>(text_[pos_])))
+        const char *begin = text_.data() + pos_;
+        const char *last = text_.data() + text_.size();
+        std::uint64_t v = 0;
+        auto [end, ec] = std::from_chars(begin, last, v);
+        if (ec != std::errc{} ||
+            (end < last && (*end == '.' || *end == 'e' || *end == 'E')))
             fail("expected JSON unsigned integer");
-        const char *begin = text_.c_str() + pos_;
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(begin, &end, 10);
         pos_ += static_cast<std::size_t>(end - begin);
-        return static_cast<std::uint64_t>(v);
+        return v;
     }
 
     double

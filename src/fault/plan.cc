@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "core/jsonscan.hh"
@@ -128,63 +129,47 @@ expectKeyValue(const std::string &part, const std::string &key,
     return part.substr(eq + 1);
 }
 
+/** A JSON retry parameter that must be an integer >= @p lo. */
+int
+readRetryInt(core::JsonScanner &js, const std::string &key, int lo)
+{
+    double v = js.readNumber();
+    if (v != std::floor(v) || v < lo ||
+        v > std::numeric_limits<int>::max())
+        parseFail("retry " + key + " must be an integer >= " +
+                  std::to_string(lo));
+    return static_cast<int>(v);
+}
+
 FaultPlan
 parseJson(const std::string &text)
 {
     FaultPlan plan;
     core::JsonScanner js{text, "fault plan"};
-    js.expect('{');
-    if (!js.consumeIf('}')) {
-        for (;;) {
-            std::string key = js.readString();
-            js.expect(':');
-            if (key == "seed") {
-                plan.setSeed(
-                    static_cast<std::uint64_t>(js.readNumber()));
-            } else if (key == "retry") {
-                RetryConfig retry;
-                js.expect('{');
-                if (!js.consumeIf('}')) {
-                    for (;;) {
-                        std::string rk = js.readString();
-                        js.expect(':');
-                        double v = js.readNumber();
-                        if (rk == "timeout_us")
-                            retry.ackTimeoutUs = v;
-                        else if (rk == "max_attempts")
-                            retry.maxAttempts = static_cast<int>(v);
-                        else if (rk == "backoff")
-                            retry.backoffFactor = v;
-                        else if (rk == "window") {
-                            retry.window = static_cast<int>(v);
-                            if (retry.window < 1)
-                                parseFail("retry window must be >= 1");
-                        } else
-                            parseFail("unknown retry key '" + rk + "'");
-                        if (!js.consumeIf(','))
-                            break;
-                    }
-                    js.expect('}');
-                }
-                plan.setRetry(retry);
-            } else if (key == "faults") {
-                js.expect('[');
-                if (!js.consumeIf(']')) {
-                    for (;;) {
-                        plan.addSpec(js.readString());
-                        if (!js.consumeIf(','))
-                            break;
-                    }
-                    js.expect(']');
-                }
-            } else {
-                parseFail("unknown plan key '" + key + "'");
-            }
-            if (!js.consumeIf(','))
-                break;
+    js.readObject([&](const std::string &key) {
+        if (key == "seed") {
+            plan.setSeed(js.readUInt());
+        } else if (key == "retry") {
+            RetryConfig retry;
+            js.readObject([&](const std::string &rk) {
+                if (rk == "timeout_us")
+                    retry.ackTimeoutUs = js.readNumber();
+                else if (rk == "max_attempts")
+                    retry.maxAttempts = readRetryInt(js, rk, 0);
+                else if (rk == "backoff")
+                    retry.backoffFactor = js.readNumber();
+                else if (rk == "window")
+                    retry.window = readRetryInt(js, rk, 1);
+                else
+                    parseFail("unknown retry key '" + rk + "'");
+            });
+            plan.setRetry(retry);
+        } else if (key == "faults") {
+            js.readArray([&] { plan.addSpec(js.readString()); });
+        } else {
+            parseFail("unknown plan key '" + key + "'");
         }
-        js.expect('}');
-    }
+    });
     if (!js.atEnd())
         parseFail("trailing characters after JSON plan");
     return plan;

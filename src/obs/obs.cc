@@ -19,21 +19,13 @@ thread_local LinkStatsTracker *g_linkStats = nullptr;
 MetricsRegistry *
 metrics()
 {
-#ifndef CCHAR_OBS_DISABLED
     return g_metrics;
-#else
-    return nullptr;
-#endif
 }
 
 Tracer *
 tracer()
 {
-#ifndef CCHAR_OBS_DISABLED
     return g_tracer;
-#else
-    return nullptr;
-#endif
 }
 
 void
@@ -51,11 +43,7 @@ setTracer(Tracer *trace)
 FlowTracker *
 flows()
 {
-#ifndef CCHAR_OBS_DISABLED
     return g_flows;
-#else
-    return nullptr;
-#endif
 }
 
 void
@@ -67,11 +55,7 @@ setFlows(FlowTracker *tracker)
 RankActivityTracker *
 rankActivity()
 {
-#ifndef CCHAR_OBS_DISABLED
     return g_rankActivity;
-#else
-    return nullptr;
-#endif
 }
 
 void
@@ -83,11 +67,7 @@ setRankActivity(RankActivityTracker *tracker)
 LinkStatsTracker *
 linkStats()
 {
-#ifndef CCHAR_OBS_DISABLED
     return g_linkStats;
-#else
-    return nullptr;
-#endif
 }
 
 void

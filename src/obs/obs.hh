@@ -26,9 +26,6 @@
  * so concurrent sweep workers (see sweep/engine.hh) install fully
  * independent sinks with no synchronization on any hot path. A
  * single-threaded driver behaves exactly as before.
- *
- * Compile with -DCCHAR_OBS_DISABLED to compile out every handle
- * operation; metrics()/tracer() then always return nullptr.
  */
 
 #ifndef CCHAR_OBS_OBS_HH

@@ -9,9 +9,7 @@
  *     registry's storage; a default-constructed (detached) handle is a
  *     null pointer and every operation on it is one predictable branch.
  *     Instrumented code resolves its handles once (at construction)
- *     and the hot path never does a name lookup. Defining
- *     CCHAR_OBS_DISABLED at compile time additionally turns every
- *     handle operation into a no-op the optimizer deletes outright.
+ *     and the hot path never does a name lookup.
  *
  *  2. Determinism. The registry performs no I/O and no time queries;
  *     exporting is explicit (writeJson) and iterates names in sorted
@@ -51,12 +49,8 @@ class Counter
     void
     add(std::uint64_t n = 1)
     {
-#ifndef CCHAR_OBS_DISABLED
         if (slot_)
             *slot_ += n;
-#else
-        (void)n;
-#endif
     }
 
     /** Current value (0 when detached). */
@@ -81,24 +75,16 @@ class Gauge
     void
     set(double v)
     {
-#ifndef CCHAR_OBS_DISABLED
         if (slot_)
             *slot_ = v;
-#else
-        (void)v;
-#endif
     }
 
     /** Keep the maximum of the values seen. */
     void
     high(double v)
     {
-#ifndef CCHAR_OBS_DISABLED
         if (slot_ && v > *slot_)
             *slot_ = v;
-#else
-        (void)v;
-#endif
     }
 
     double value() const { return slot_ ? *slot_ : 0.0; }
@@ -162,12 +148,8 @@ class Histogram
     void
     record(double v)
     {
-#ifndef CCHAR_OBS_DISABLED
         if (data_)
             data_->record(v);
-#else
-        (void)v;
-#endif
     }
 
     std::uint64_t count() const { return data_ ? data_->count : 0; }

@@ -116,8 +116,9 @@ TEST(ChaosCampaign, ShrinksFailingPlans)
     }
     // Recovered jobs carry no shrink output.
     for (const auto &j : result.jobs) {
-        if (!j.failing())
+        if (!j.failing()) {
             EXPECT_TRUE(j.shrunkPlan.empty());
+        }
     }
 }
 

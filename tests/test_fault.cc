@@ -86,6 +86,25 @@ TEST(FaultPlan, ParsesJsonForm)
     ASSERT_EQ(plan.faults().size(), 2u);
     EXPECT_EQ(plan.faults()[0].kind, FaultKind::LinkDown);
     EXPECT_EQ(plan.faults()[1].kind, FaultKind::Drop);
+
+    // Integer fields parse exactly and reject anything else.
+    EXPECT_EQ(FaultPlan::parse(R"({"seed": 18446744073709551615})").seed(),
+              18446744073709551615u);
+    for (const char *bad :
+         {R"({"seed": -1})", R"({"seed": 1.5})", R"({"seed": 1e3})",
+          R"({"seed": 18446744073709551616})",
+          R"({"retry": {"max_attempts": 2.5}})",
+          R"({"retry": {"max_attempts": -1}})",
+          R"({"retry": {"window": 0}})",
+          R"({"retry": {"window": 4294967297}})"}) {
+        try {
+            FaultPlan::parse(bad);
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const core::CCharError &e) {
+            EXPECT_EQ(e.status().code(), core::StatusCode::ParseError)
+                << bad;
+        }
+    }
 }
 
 TEST(FaultPlan, DescribeRoundTrips)

@@ -31,15 +31,6 @@ using namespace cchar;
 using obs::kLinkInject;
 using obs::LinkStatsTracker;
 
-/** False when the tree was compiled with -DCCHAR_OBS_DISABLED. */
-bool
-obsEnabled()
-{
-    obs::MetricsRegistry probe;
-    obs::ScopedObservability scoped{&probe};
-    return obs::metrics() != nullptr;
-}
-
 mesh::MeshConfig
 mesh2x2()
 {
@@ -226,8 +217,6 @@ TEST(LinkStatsMesh, DelegatedUtilizationIsBitIdentical)
 
 TEST(LinkStatsMesh, TrafficIsAttributedToLinksAndRouters)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     double avg = 0.0, mx = 0.0;
     LinkStatsTracker sink;
     runMeshTraffic(true, avg, mx, &sink);
@@ -445,8 +434,6 @@ jobFor(const std::string &app, const std::string &plan)
 
 TEST(LinkStatsE2E, DisabledJobKeepsColumnsZeroed)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry registry;
     sweep::SweepJob job = jobFor("mg", "");
     job.linkStats = false;
@@ -460,8 +447,6 @@ TEST(LinkStatsE2E, DisabledJobKeepsColumnsZeroed)
 
 TEST(LinkStatsE2E, RouterStallRaisesRankedHotspot)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry healthyReg, faultedReg;
     sweep::JobOutcome healthy =
         sweep::SweepEngine::runJob(jobFor("mg", ""), healthyReg);

@@ -24,15 +24,6 @@ namespace {
 
 using namespace cchar;
 
-/** False when the tree was compiled with -DCCHAR_OBS_DISABLED. */
-bool
-obsEnabled()
-{
-    obs::MetricsRegistry probe;
-    obs::ScopedObservability scoped{&probe};
-    return obs::metrics() != nullptr;
-}
-
 // --------------------------------------------------------------------
 // Mini JSON syntax checker (no values kept — just well-formedness).
 
@@ -240,8 +231,6 @@ TEST(JsonString, EveryAsciiByteRoundTripsThroughWriterAndScanner)
 
 TEST(Registry, CounterInterningAndValues)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry reg;
     obs::Counter a = reg.counter("x.count");
     obs::Counter b = reg.counter("x.count"); // same slot
@@ -270,8 +259,6 @@ TEST(Registry, DetachedHandlesAreNoOps)
 
 TEST(Registry, GaugeSetAndHighWaterMark)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry reg;
     obs::Gauge g = reg.gauge("depth");
     g.set(3.0);
@@ -283,8 +270,6 @@ TEST(Registry, GaugeSetAndHighWaterMark)
 
 TEST(Registry, HistogramMoments)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry reg;
     obs::Histogram h = reg.histogram("lat");
     h.record(1.0);
@@ -322,8 +307,6 @@ TEST(Registry, HistogramBucketEdges)
 
 TEST(Registry, ResetZeroesButKeepsHandles)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry reg;
     obs::Counter c = reg.counter("c");
     obs::Histogram h = reg.histogram("h");
@@ -351,8 +334,6 @@ TEST(Registry, CapacityExhaustionThrows)
 
 TEST(Registry, JsonSnapshotIsWellFormed)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry reg;
     reg.counter("msgs").add(3);
     reg.gauge("peak").set(2.5);
@@ -457,8 +438,6 @@ TEST(Sampler, SeriesAndColumns)
 
 TEST(Hooks, ScopedInstallAndRestore)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     EXPECT_EQ(obs::metrics(), nullptr);
     obs::MetricsRegistry reg;
     obs::Tracer tr;
@@ -489,8 +468,6 @@ idleFor(desim::Simulator &sim, double total, double step)
 
 TEST(SimulatorObs, CountsEventsAndCalendarPeak)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry reg;
     obs::ScopedObservability scoped{&reg};
     desim::Simulator sim;
@@ -504,8 +481,6 @@ TEST(SimulatorObs, CountsEventsAndCalendarPeak)
 
 TEST(SimulatorObs, ProcessLifetimeSpans)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::Tracer tr;
     obs::ScopedObservability scoped{nullptr, &tr};
     desim::Simulator sim;
@@ -583,8 +558,6 @@ TEST(SystemObs, SinksDoNotPerturbTheSimulation)
 
 TEST(SystemObs, ExportsAreDeterministicAcrossIdenticalRuns)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     auto runOnce = [](std::string &traceJson, std::string &metricsJson) {
         obs::MetricsRegistry reg;
         obs::Tracer tr;
@@ -611,8 +584,6 @@ TEST(SystemObs, ExportsAreDeterministicAcrossIdenticalRuns)
 
 TEST(SystemObs, MeshCounterMatchesReportedMessageCount)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry reg;
     obs::Tracer tr;
     obs::ScopedObservability scoped{&reg, &tr};
@@ -644,8 +615,6 @@ TEST(SystemObs, MeshCounterMatchesReportedMessageCount)
 
 TEST(SystemObs, StaticStrategySamplerAndReplayLag)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry reg;
     obs::ScopedObservability scoped{&reg};
     obs::WindowedSampler sampler;
@@ -739,8 +708,6 @@ TEST(Flow, TrackerLifecycleAndReservoir)
 
 TEST(Flow, MeshOpensFlowsAndHistogramsDecomposeLatency)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry reg;
     obs::FlowTracker flows;
     obs::ScopedObservability scoped{&reg, nullptr, &flows};
@@ -779,8 +746,6 @@ TEST(Flow, MeshOpensFlowsAndHistogramsDecomposeLatency)
 
 TEST(Flow, TracerEmitsChromeFlowEvents)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::Tracer tr;
     int lane = tr.lane("router:0");
     int name = tr.name("msg");
@@ -802,8 +767,6 @@ TEST(Flow, TracerEmitsChromeFlowEvents)
 
 TEST(Flow, SinkStatsSurfaceRingOverwritesAndFlowCounts)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry reg;
     obs::Tracer tr{4};
     int lane = tr.lane("l");
@@ -917,8 +880,9 @@ TEST(Phases, AnalyzerSplitsTwoRegimeLoad)
     std::size_t total = 0;
     for (std::size_t p = 0; p < chars.size(); ++p) {
         total += chars[p].messageCount;
-        if (p > 0)
+        if (p > 0) {
             EXPECT_GE(chars[p].tBegin, chars[p - 1].tEnd - 1e-9);
+        }
     }
     EXPECT_EQ(total, log.size());
     EXPECT_GT(chars.back().injectionRate, chars.front().injectionRate);
@@ -927,8 +891,6 @@ TEST(Phases, AnalyzerSplitsTwoRegimeLoad)
 
 TEST(Phases, SystemRunDetectsPhasedApplication)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     core::PipelineOptions opts;
     opts.detectPhases = true;
     core::CharacterizationPipeline pipeline{opts};
@@ -1007,8 +969,6 @@ TEST(Windows, WindowFitsPartitionTheGaps)
 
 TEST(HtmlReport, EmbedsWellFormedJsonAndIsDeterministic)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     auto render = [] {
         obs::MetricsRegistry reg;
         obs::FlowTracker flows;

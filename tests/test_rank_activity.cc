@@ -28,15 +28,6 @@ using namespace cchar;
 using obs::RankActivityTracker;
 using obs::RankState;
 
-/** False when the tree was compiled with -DCCHAR_OBS_DISABLED. */
-bool
-obsEnabled()
-{
-    obs::MetricsRegistry probe;
-    obs::ScopedObservability scoped{&probe};
-    return obs::metrics() != nullptr;
-}
-
 // --------------------------------------------------------------------
 // Tracker semantics
 
@@ -317,8 +308,6 @@ TEST(RankActivityReport, HtmlRendersDeterministically)
 
 TEST(FlowDroppedMetric, RingOverflowIsCounted)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry registry;
     obs::ScopedObservability scope{&registry};
     obs::FlowTracker flows{/*capacity=*/2};
@@ -354,8 +343,6 @@ jobFor(const std::string &app, const std::string &plan)
 
 TEST(RankActivityE2E, FaultFreeSharedMemoryRunHasNoWaves)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry registry;
     sweep::JobOutcome out =
         sweep::SweepEngine::runJob(jobFor("sor", ""), registry);
@@ -367,8 +354,6 @@ TEST(RankActivityE2E, FaultFreeSharedMemoryRunHasNoWaves)
 
 TEST(RankActivityE2E, RouterStallLaunchesWave)
 {
-    if (!obsEnabled())
-        GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
     obs::MetricsRegistry healthyReg, faultedReg;
     sweep::JobOutcome healthy =
         sweep::SweepEngine::runJob(jobFor("mg", ""), healthyReg);

@@ -134,9 +134,6 @@ TEST(SweepSpec, JsonFormRoundTrips)
 
 TEST(SweepMerge, MergeFromFoldsCountersGaugesHistograms)
 {
-#ifdef CCHAR_OBS_DISABLED
-    GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
-#endif
     obs::MetricsRegistry a, b;
     a.counter("c").add(3);
     b.counter("c").add(4);

@@ -640,14 +640,6 @@ TEST(Orchestration, PresetShutdownInterruptsEverything)
 
 TEST(Orchestration, RetryCountersReachTheMergedRegistry)
 {
-    {
-        // Skip when compiled with -DCCHAR_OBS_DISABLED: the merged
-        // registry serializes empty, so there is nothing to assert.
-        obs::MetricsRegistry probe;
-        obs::ScopedObservability scoped{&probe};
-        if (obs::metrics() == nullptr)
-            GTEST_SKIP() << "compiled with CCHAR_OBS_DISABLED";
-    }
     SweepRunOptions opts;
     opts.policy.jobTimeoutSec = 0.25 * kDeadlineScale;
     opts.policy.maxRetries = 0;

@@ -86,8 +86,8 @@
  */
 
 #include <atomic>
+#include <charconv>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -95,6 +95,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include <unistd.h>
 
@@ -331,15 +332,38 @@ usage()
     return 2;
 }
 
+/**
+ * The whole of @p text as a T (an integer type or double). Trailing
+ * characters, a sign an unsigned T cannot hold, or a value out of T's
+ * range are a usage error: "<cmd>: bad <flag> value '<text>'".
+ */
+template <typename T>
+T
+parseNumber(const std::string &cmd, const std::string &flag,
+            const std::string &text)
+{
+    T v{};
+    const char *last = text.data() + text.size();
+    auto [end, ec] = std::from_chars(text.data(), last, v);
+    if (ec != std::errc{} || end != last) {
+        throw core::CCharError(core::StatusCode::UsageError,
+                               cmd + ": bad " + flag + " value '" +
+                                   text + "'");
+    }
+    return v;
+}
+
+/** @throws core::CCharError UsageError on a malformed number. */
 bool
 parseOptions(int argc, char **argv, int first, Options &opts)
 {
     for (int i = first; i < argc; ++i) {
         std::string arg = argv[i];
-        auto next = [&](int &slot) {
+        auto next = [&](auto &slot) {
             if (i + 1 >= argc)
                 return false;
-            slot = std::atoi(argv[++i]);
+            slot = parseNumber<std::remove_reference_t<decltype(slot)>>(
+                argv[1], arg, argv[++i]);
             return true;
         };
         if (arg == "--width") {
@@ -379,10 +403,7 @@ parseOptions(int argc, char **argv, int first, Options &opts)
                 return false;
             opts.reportOut = argv[++i];
         } else if (arg == "--sample-period") {
-            if (i + 1 >= argc)
-                return false;
-            opts.samplePeriodUs = std::atof(argv[++i]);
-            if (opts.samplePeriodUs <= 0.0)
+            if (!next(opts.samplePeriodUs) || opts.samplePeriodUs <= 0.0)
                 return false;
         } else if (arg == "--progress") {
             opts.progress = true;
@@ -402,11 +423,7 @@ parseOptions(int argc, char **argv, int first, Options &opts)
         } else if (arg == "--no-reroute") {
             opts.reroute = false;
         } else if (arg == "--seed") {
-            if (i + 1 >= argc)
-                return false;
-            char *end = nullptr;
-            opts.seed = std::strtoull(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0')
+            if (!next(opts.seed))
                 return false;
             opts.seedSet = true;
         } else if (arg == "--trace-errors") {
@@ -424,10 +441,8 @@ parseOptions(int argc, char **argv, int first, Options &opts)
         } else if (arg == "--lenient") {
             opts.traceErrors = trace::ErrorMode::Lenient;
         } else if (arg == "--watchdog-period") {
-            if (i + 1 >= argc)
-                return false;
-            opts.watchdog.checkPeriodUs = std::atof(argv[++i]);
-            if (opts.watchdog.checkPeriodUs <= 0.0)
+            if (!next(opts.watchdog.checkPeriodUs) ||
+                opts.watchdog.checkPeriodUs <= 0.0)
                 return false;
         } else if (arg == "--watchdog-stalls") {
             int stalls = 0;
@@ -435,10 +450,8 @@ parseOptions(int argc, char **argv, int first, Options &opts)
                 return false;
             opts.watchdog.stallChecks = stalls;
         } else if (arg == "--max-sim-time") {
-            if (i + 1 >= argc)
-                return false;
-            opts.watchdog.maxSimTimeUs = std::atof(argv[++i]);
-            if (opts.watchdog.maxSimTimeUs < 0.0)
+            if (!next(opts.watchdog.maxSimTimeUs) ||
+                opts.watchdog.maxSimTimeUs < 0.0)
                 return false;
         } else {
             std::cerr << "unknown option: " << arg << "\n";
@@ -727,39 +740,29 @@ cmdSynth(int argc, char **argv)
     for (int i = 3; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--scale-procs") {
-            scaleProcs = std::atoi(value(i, arg).c_str());
+            scaleProcs = parseNumber<int>("synth", arg, value(i, arg));
             if (scaleProcs < 1) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "synth: --scale-procs must be "
                                        ">= 1");
             }
         } else if (arg == "--messages") {
-            std::string v = value(i, arg);
-            char *end = nullptr;
-            messages = std::strtoull(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0') {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: bad --messages value '" +
-                                           v + "'");
-            }
+            messages =
+                parseNumber<std::uint64_t>("synth", arg, value(i, arg));
         } else if (arg == "--seed") {
-            std::string v = value(i, arg);
-            char *end = nullptr;
-            ropts.seed = std::strtoull(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0') {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: bad --seed value '" + v +
-                                           "'");
-            }
+            ropts.seed =
+                parseNumber<std::uint64_t>("synth", arg, value(i, arg));
         } else if (arg == "--time-scale") {
-            ropts.timeScale = std::atof(value(i, arg).c_str());
+            ropts.timeScale =
+                parseNumber<double>("synth", arg, value(i, arg));
             if (ropts.timeScale <= 0.0) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "synth: --time-scale must be "
                                        "> 0");
             }
         } else if (arg == "--max-outstanding") {
-            ropts.maxOutstanding = std::atoi(value(i, arg).c_str());
+            ropts.maxOutstanding =
+                parseNumber<int>("synth", arg, value(i, arg));
             if (ropts.maxOutstanding < 0) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "synth: --max-outstanding "
@@ -782,7 +785,7 @@ cmdSynth(int argc, char **argv)
         } else if (arg == "--link-stats") {
             opts.linkStats = true;
         } else if (arg == "--top-links") {
-            opts.topLinks = std::atoi(value(i, arg).c_str());
+            opts.topLinks = parseNumber<int>("synth", arg, value(i, arg));
             if (opts.topLinks < 1) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "synth: --top-links must be "
@@ -925,27 +928,14 @@ cmdSweep(int argc, char **argv)
         } else if (arg == "--procs") {
             spec.procs.clear();
             for (const std::string &item :
-                 sweep::parseList(value(i, arg))) {
-                try {
-                    spec.procs.push_back(std::stoi(item));
-                } catch (const std::exception &) {
-                    throw core::CCharError(core::StatusCode::UsageError,
-                                           "sweep: bad procs value '" +
-                                               item + "'");
-                }
-            }
+                 sweep::parseList(value(i, arg)))
+                spec.procs.push_back(parseNumber<int>("sweep", "procs", item));
         } else if (arg == "--loads") {
             spec.loads.clear();
             for (const std::string &item :
-                 sweep::parseList(value(i, arg))) {
-                try {
-                    spec.loads.push_back(std::stod(item));
-                } catch (const std::exception &) {
-                    throw core::CCharError(core::StatusCode::UsageError,
-                                           "sweep: bad load value '" +
-                                               item + "'");
-                }
-            }
+                 sweep::parseList(value(i, arg)))
+                spec.loads.push_back(
+                    parseNumber<double>("sweep", "load", item));
         } else if (arg == "--seeds") {
             spec.seeds = sweep::parseSeeds(value(i, arg));
         } else if (arg == "--fault-plan") {
@@ -957,7 +947,7 @@ cmdSweep(int argc, char **argv)
         } else if (arg == "--torus") {
             spec.torus = true;
         } else if (arg == "--vcs") {
-            spec.vcs = std::atoi(value(i, arg).c_str());
+            spec.vcs = parseNumber<int>("sweep", arg, value(i, arg));
         } else if (arg == "--rank-activity") {
             spec.rankActivity = true;
         } else if (arg == "--link-stats") {
@@ -972,7 +962,7 @@ cmdSweep(int argc, char **argv)
             std::string count = (arg == "-j" || arg == "--jobs")
                                     ? value(i, arg)
                                     : arg.substr(2);
-            jobs = std::atoi(count.c_str());
+            jobs = parseNumber<int>("sweep", "-j", count);
             if (jobs < 1) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "sweep: -j needs a positive "
@@ -988,21 +978,23 @@ cmdSweep(int argc, char **argv)
             ropts.resumePath = value(i, arg);
         } else if (arg == "--job-timeout") {
             ropts.policy.jobTimeoutSec =
-                std::atof(value(i, arg).c_str());
+                parseNumber<double>("sweep", arg, value(i, arg));
             if (ropts.policy.jobTimeoutSec <= 0.0) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "sweep: --job-timeout needs a "
                                        "positive number of seconds");
             }
         } else if (arg == "--job-retries") {
-            ropts.policy.maxRetries = std::atoi(value(i, arg).c_str());
+            ropts.policy.maxRetries =
+                parseNumber<int>("sweep", arg, value(i, arg));
             if (ropts.policy.maxRetries < 0) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "sweep: --job-retries cannot "
                                        "be negative");
             }
         } else if (arg == "--retry-backoff-ms") {
-            ropts.policy.backoffMs = std::atof(value(i, arg).c_str());
+            ropts.policy.backoffMs =
+                parseNumber<double>("sweep", arg, value(i, arg));
             if (ropts.policy.backoffMs < 0.0) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "sweep: --retry-backoff-ms "
@@ -1125,26 +1117,28 @@ cmdChaos(int argc, char **argv)
         if (arg == "--apps") {
             copts.apps = sweep::parseList(value(i, arg));
         } else if (arg == "--procs") {
-            copts.procs = std::atoi(value(i, arg).c_str());
+            copts.procs = parseNumber<int>("chaos", arg, value(i, arg));
             if (copts.procs < 1) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "chaos: --procs must be >= 1");
             }
         } else if (arg == "--plans") {
-            copts.plans = std::atoi(value(i, arg).c_str());
+            copts.plans = parseNumber<int>("chaos", arg, value(i, arg));
         } else if (arg == "--seed") {
             copts.seed =
-                std::strtoull(value(i, arg).c_str(), nullptr, 10);
+                parseNumber<std::uint64_t>("chaos", arg, value(i, arg));
         } else if (arg == "--max-faults") {
-            copts.maxFaults = std::atoi(value(i, arg).c_str());
+            copts.maxFaults = parseNumber<int>("chaos", arg, value(i, arg));
         } else if (arg == "--horizon") {
-            copts.horizonUs = std::atof(value(i, arg).c_str());
+            copts.horizonUs =
+                parseNumber<double>("chaos", arg, value(i, arg));
             if (copts.horizonUs < 2.0) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "chaos: --horizon must be >= 2");
             }
         } else if (arg == "--shrink-budget") {
-            copts.shrinkBudget = std::atoi(value(i, arg).c_str());
+            copts.shrinkBudget =
+                parseNumber<int>("chaos", arg, value(i, arg));
             if (copts.shrinkBudget < 0) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "chaos: --shrink-budget cannot "
@@ -1153,7 +1147,7 @@ cmdChaos(int argc, char **argv)
         } else if (arg == "--torus") {
             copts.torus = true;
         } else if (arg == "--vcs") {
-            copts.vcs = std::atoi(value(i, arg).c_str());
+            copts.vcs = parseNumber<int>("chaos", arg, value(i, arg));
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--out") {
@@ -1165,7 +1159,7 @@ cmdChaos(int argc, char **argv)
             std::string count = (arg == "-j" || arg == "--jobs")
                                     ? value(i, arg)
                                     : arg.substr(2);
-            jobs = std::atoi(count.c_str());
+            jobs = parseNumber<int>("chaos", "-j", count);
             if (jobs < 1) {
                 throw core::CCharError(core::StatusCode::UsageError,
                                        "chaos: -j needs a positive "
@@ -1234,8 +1228,6 @@ main(int argc, char **argv)
         return usage();
     std::string target = argv[2];
     Options opts;
-    if (!parseOptions(argc, argv, 3, opts))
-        return usage();
 
     // Recoverable problems (lenient trace ingest, delivery failures)
     // land here instead of aborting; dumped to stderr on exit.
@@ -1247,6 +1239,8 @@ main(int argc, char **argv)
     };
 
     try {
+        if (!parseOptions(argc, argv, 3, opts))
+            return usage();
         int rc = 2;
         if (cmd == "characterize") {
             rc = cmdCharacterize(target, opts);
