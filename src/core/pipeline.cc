@@ -107,10 +107,8 @@ CharacterizationPipeline::analyze(const trace::TrafficLog &log,
 
     TemporalAnalyzer temporal{opts_.fitter};
     report.temporalAggregate = temporal.analyzeAggregate(log);
-    if (opts_.perSource) {
-        report.temporalPerSource =
-            temporal.analyzeAllSources(log, opts_.minSamplesPerSource);
-    }
+    report.temporalPerSource =
+        temporal.analyzeAllSources(log, opts_.minSamplesPerSource);
 
     SpatialAnalyzer spatial{opts_.classifier};
     report.spatialPerSource = spatial.analyzeAllSources(log);
@@ -243,7 +241,9 @@ runCharacterization(const RunSpec &spec, const PipelineOptions &opts)
             // The replay mesh is the network the static-strategy
             // report describes, so the link sink restarts here and
             // only the replayed traffic enters the weather analysis.
-            obs::ScopedRankActivity detachActivity{nullptr};
+            obs::ScopedObservability detachActivity{
+                obs::metrics(), obs::tracer(), obs::flows(), nullptr,
+                links};
             if (links)
                 links->reset();
             drive = replayTrace(collected, cfg.mesh, spec, opts);

@@ -37,8 +37,6 @@ struct PipelineOptions
     stats::SpatialClassifier classifier{};
     /** Minimum messages for a per-source temporal fit. */
     std::size_t minSamplesPerSource = 8;
-    /** Produce per-source fits (aggregate only if false). */
-    bool perSource = true;
     /**
      * Optional windowed telemetry sink. When set, the standard
      * network series (see attachNetworkTelemetry) are captured every

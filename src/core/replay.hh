@@ -97,10 +97,11 @@ class TraceReplayer
     /**
      * Replay a trace on a fresh mesh of the given configuration.
      *
-     * When a metrics sink is installed (obs::setMetrics), the replay
-     * records its lag behind the pure trace clock — the cumulative
-     * network-drain time separating the replayed injection times from
-     * the recorded compute gaps — in the "replay.lag_us" histogram.
+     * When a metrics sink is installed (obs::ScopedObservability), the
+     * replay records its lag behind the pure trace clock — the
+     * cumulative network-drain time separating the replayed injection
+     * times from the recorded compute gaps — in the "replay.lag_us"
+     * histogram.
      */
     static DriveResult replay(const trace::Trace &trace,
                               const mesh::MeshConfig &mesh,

@@ -1,6 +1,7 @@
 #include "plan.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -56,15 +57,34 @@ parseProbability(const std::string &text)
     return p;
 }
 
+/**
+ * A non-negative int (a node id or a retry count), parsed in full: a
+ * sign, trailing text or a value past INT_MAX is rejected, never
+ * narrowed.
+ */
 int
-parseNode(const std::string &text)
+parseCount(const std::string &text, const std::string &what)
 {
-    const char *begin = text.c_str();
-    char *end = nullptr;
-    long n = std::strtol(begin, &end, 10);
-    if (end == begin || *end != '\0' || n < 0)
-        parseFail("bad node id '" + text + "'");
-    return static_cast<int>(n);
+    int n = 0;
+    const char *last = text.data() + text.size();
+    auto [end, ec] = std::from_chars(text.data(), last, n);
+    if (ec != std::errc{} || end != last || n < 0)
+        parseFail("bad " + what + " '" + text + "'");
+    return n;
+}
+
+/** The range checks of a retry policy, shared by both plan forms. */
+void
+validateRetry(const RetryConfig &retry)
+{
+    if (!(retry.ackTimeoutUs > 0.0))
+        parseFail("retry timeout must be positive");
+    if (!(retry.backoffFactor >= 1.0))
+        parseFail("retry backoff must be >= 1");
+    if (retry.maxAttempts < 0)
+        parseFail("retry max must be >= 0");
+    if (retry.window < 1)
+        parseFail("retry window must be >= 1");
 }
 
 /**
@@ -129,15 +149,14 @@ expectKeyValue(const std::string &part, const std::string &key,
     return part.substr(eq + 1);
 }
 
-/** A JSON retry parameter that must be an integer >= @p lo. */
+/** A JSON retry parameter that must be an integer in int's range. */
 int
-readRetryInt(core::JsonScanner &js, const std::string &key, int lo)
+readRetryInt(core::JsonScanner &js, const std::string &key)
 {
     double v = js.readNumber();
-    if (v != std::floor(v) || v < lo ||
+    if (v != std::floor(v) || v < std::numeric_limits<int>::min() ||
         v > std::numeric_limits<int>::max())
-        parseFail("retry " + key + " must be an integer >= " +
-                  std::to_string(lo));
+        parseFail("retry " + key + " must be an integer");
     return static_cast<int>(v);
 }
 
@@ -155,14 +174,15 @@ parseJson(const std::string &text)
                 if (rk == "timeout_us")
                     retry.ackTimeoutUs = js.readNumber();
                 else if (rk == "max_attempts")
-                    retry.maxAttempts = readRetryInt(js, rk, 0);
+                    retry.maxAttempts = readRetryInt(js, rk);
                 else if (rk == "backoff")
                     retry.backoffFactor = js.readNumber();
                 else if (rk == "window")
-                    retry.window = readRetryInt(js, rk, 1);
+                    retry.window = readRetryInt(js, rk);
                 else
                     parseFail("unknown retry key '" + rk + "'");
             });
+            validateRetry(retry);
             plan.setRetry(retry);
         } else if (key == "faults") {
             js.readArray([&] { plan.addSpec(js.readString()); });
@@ -250,25 +270,21 @@ FaultPlan::addSpec(const std::string &rawClause)
             std::string value = part.substr(eq + 1);
             if (key == "timeout") {
                 retry_.ackTimeoutUs = parseTimeUs(value);
-                if (retry_.ackTimeoutUs <= 0.0)
-                    parseFail("retry timeout must be positive");
             } else if (key == "max") {
-                retry_.maxAttempts = parseNode(value);
+                retry_.maxAttempts = parseCount(value, "retry max");
             } else if (key == "backoff") {
                 const char *begin = value.c_str();
                 char *end = nullptr;
                 retry_.backoffFactor = std::strtod(begin, &end);
-                if (end == begin || *end != '\0' ||
-                    retry_.backoffFactor < 1.0)
+                if (end == begin || *end != '\0')
                     parseFail("retry backoff must be >= 1");
             } else if (key == "window") {
-                retry_.window = parseNode(value);
-                if (retry_.window < 1)
-                    parseFail("retry window must be >= 1");
+                retry_.window = parseCount(value, "retry window");
             } else {
                 parseFail("unknown retry key '" + key + "'");
             }
         }
+        validateRetry(retry_);
         return;
     }
 
@@ -283,8 +299,8 @@ FaultPlan::addSpec(const std::string &rawClause)
         if (arrow == std::string::npos)
             parseFail("expected 'A->B' in '" + clause + "'");
         spec.kind = FaultKind::LinkDown;
-        spec.node = parseNode(parts[1].substr(0, arrow));
-        spec.peer = parseNode(parts[1].substr(arrow + 2));
+        spec.node = parseCount(parts[1].substr(0, arrow), "node id");
+        spec.peer = parseCount(parts[1].substr(arrow + 2), "node id");
         if (spec.node == spec.peer)
             parseFail("link endpoints must differ in '" + clause + "'");
     } else if (parts[0] == "drop" || parts[0] == "corrupt") {
@@ -299,7 +315,7 @@ FaultPlan::addSpec(const std::string &rawClause)
         if (parts.size() != 3)
             parseFail("expected 'router:N:stall=D' in '" + clause + "'");
         spec.kind = FaultKind::RouterStall;
-        spec.node = parseNode(parts[1]);
+        spec.node = parseCount(parts[1], "node id");
         spec.stallUs =
             parseTimeUs(expectKeyValue(parts[2], "stall", clause));
         if (spec.stallUs < 0.0)

@@ -18,11 +18,11 @@
  *    injection span, every channel-hold span along the path, and the
  *    delivery drain span.
  *
- * Like the other sinks the tracker is installed process-wide
- * (obs::setFlows) and resolved once at component construction. Flow ids
- * ride in a dedicated Packet field and feed *only* observability —
- * simulation results are byte-identical with or without a tracker
- * installed.
+ * Like the other sinks the tracker is installed per thread
+ * (obs::ScopedObservability) and resolved once at component
+ * construction. Flow ids ride in a dedicated Packet field and feed
+ * *only* observability — simulation results are byte-identical with or
+ * without a tracker installed.
  *
  * Determinism: ids are a monotonic counter in generation order, the
  * reservoir keeps the first `capacity` completions, and sampling is a

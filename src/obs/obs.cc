@@ -8,72 +8,52 @@ namespace {
 // single-threaded, but the sweep engine runs many simulations on
 // concurrent worker threads, each installing its own sinks. A worker's
 // install can never leak into a sibling's hot path.
-thread_local MetricsRegistry *g_metrics = nullptr;
-thread_local Tracer *g_tracer = nullptr;
-thread_local FlowTracker *g_flows = nullptr;
-thread_local RankActivityTracker *g_rankActivity = nullptr;
-thread_local LinkStatsTracker *g_linkStats = nullptr;
+thread_local Sinks g_sinks;
 
 } // namespace
 
 MetricsRegistry *
 metrics()
 {
-    return g_metrics;
+    return g_sinks.metrics;
 }
 
 Tracer *
 tracer()
 {
-    return g_tracer;
-}
-
-void
-setMetrics(MetricsRegistry *registry)
-{
-    g_metrics = registry;
-}
-
-void
-setTracer(Tracer *trace)
-{
-    g_tracer = trace;
+    return g_sinks.tracer;
 }
 
 FlowTracker *
 flows()
 {
-    return g_flows;
-}
-
-void
-setFlows(FlowTracker *tracker)
-{
-    g_flows = tracker;
+    return g_sinks.flows;
 }
 
 RankActivityTracker *
 rankActivity()
 {
-    return g_rankActivity;
-}
-
-void
-setRankActivity(RankActivityTracker *tracker)
-{
-    g_rankActivity = tracker;
+    return g_sinks.rankActivity;
 }
 
 LinkStatsTracker *
 linkStats()
 {
-    return g_linkStats;
+    return g_sinks.linkStats;
 }
 
-void
-setLinkStats(LinkStatsTracker *tracker)
+ScopedObservability::ScopedObservability(MetricsRegistry *registry,
+                                         Tracer *trace, FlowTracker *flow,
+                                         RankActivityTracker *activity,
+                                         LinkStatsTracker *links)
+    : prev_(g_sinks)
 {
-    g_linkStats = tracker;
+    g_sinks = {registry, trace, flow, activity, links};
+}
+
+ScopedObservability::~ScopedObservability()
+{
+    g_sinks = prev_;
 }
 
 void

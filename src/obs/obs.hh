@@ -12,7 +12,7 @@
  * instrumented component resolves detached handles, and the only
  * residual cost on a hot path is a null-check. A driver (the cchar
  * CLI, a bench binary, a test) that wants visibility installs its own
- * sinks with setMetrics()/setTracer() *before* constructing the
+ * sinks with a ScopedObservability *before* constructing the
  * simulator, runs, and exports.
  *
  * The hooks are deliberately ambient rather than threaded through
@@ -56,21 +56,6 @@ RankActivityTracker *rankActivity();
 /** Currently installed link-stats sink, or nullptr (disabled). */
 LinkStatsTracker *linkStats();
 
-/** Install (or with nullptr, remove) this thread's metrics sink. */
-void setMetrics(MetricsRegistry *registry);
-
-/** Install (or with nullptr, remove) this thread's trace sink. */
-void setTracer(Tracer *tracer);
-
-/** Install (or with nullptr, remove) this thread's flow sink. */
-void setFlows(FlowTracker *tracker);
-
-/** Install (or with nullptr, remove) this thread's rank-activity sink. */
-void setRankActivity(RankActivityTracker *tracker);
-
-/** Install (or with nullptr, remove) this thread's link-stats sink. */
-void setLinkStats(LinkStatsTracker *tracker);
-
 /**
  * Publish the side sinks' own health into a registry snapshot:
  * obs.tracer.records / obs.tracer.dropped (ring overwrites — nonzero
@@ -81,9 +66,20 @@ void setLinkStats(LinkStatsTracker *tracker);
 void publishSinkStats(MetricsRegistry &registry, const Tracer *tracer,
                       const FlowTracker *flows);
 
+/** The five ambient sinks of one thread; a null member is disabled. */
+struct Sinks
+{
+    MetricsRegistry *metrics = nullptr;
+    Tracer *tracer = nullptr;
+    FlowTracker *flows = nullptr;
+    RankActivityTracker *rankActivity = nullptr;
+    LinkStatsTracker *linkStats = nullptr;
+};
+
 /**
- * RAII installer: sets the sinks for a scope, restores the previous
- * ones on exit. Keeps tests and benches exception-safe.
+ * RAII installer: sets this thread's sinks for a scope, restores the
+ * previous ones on exit. Keeps tests and benches exception-safe. The
+ * only way to install a sink.
  */
 class ScopedObservability
 {
@@ -92,59 +88,15 @@ class ScopedObservability
                                  Tracer *trace = nullptr,
                                  FlowTracker *flow = nullptr,
                                  RankActivityTracker *activity = nullptr,
-                                 LinkStatsTracker *links = nullptr)
-        : prevMetrics_(metrics()), prevTracer_(tracer()),
-          prevFlows_(flows()), prevActivity_(rankActivity()),
-          prevLinks_(linkStats())
-    {
-        setMetrics(registry);
-        setTracer(trace);
-        setFlows(flow);
-        setRankActivity(activity);
-        setLinkStats(links);
-    }
+                                 LinkStatsTracker *links = nullptr);
 
     ScopedObservability(const ScopedObservability &) = delete;
     ScopedObservability &operator=(const ScopedObservability &) = delete;
 
-    ~ScopedObservability()
-    {
-        setMetrics(prevMetrics_);
-        setTracer(prevTracer_);
-        setFlows(prevFlows_);
-        setRankActivity(prevActivity_);
-        setLinkStats(prevLinks_);
-    }
+    ~ScopedObservability();
 
   private:
-    MetricsRegistry *prevMetrics_;
-    Tracer *prevTracer_;
-    FlowTracker *prevFlows_;
-    RankActivityTracker *prevActivity_;
-    LinkStatsTracker *prevLinks_;
-};
-
-/**
- * RAII installer for the rank-activity sink alone. Used to detach the
- * tracker around a trace replay (which rebuilds the network and would
- * otherwise double-count comm spans) without touching the other sinks.
- */
-class ScopedRankActivity
-{
-  public:
-    explicit ScopedRankActivity(RankActivityTracker *tracker)
-        : prev_(rankActivity())
-    {
-        setRankActivity(tracker);
-    }
-
-    ScopedRankActivity(const ScopedRankActivity &) = delete;
-    ScopedRankActivity &operator=(const ScopedRankActivity &) = delete;
-
-    ~ScopedRankActivity() { setRankActivity(prev_); }
-
-  private:
-    RankActivityTracker *prev_;
+    Sinks prev_;
 };
 
 } // namespace cchar::obs

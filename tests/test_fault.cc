@@ -96,7 +96,12 @@ TEST(FaultPlan, ParsesJsonForm)
           R"({"retry": {"max_attempts": 2.5}})",
           R"({"retry": {"max_attempts": -1}})",
           R"({"retry": {"window": 0}})",
-          R"({"retry": {"window": 4294967297}})"}) {
+          R"({"retry": {"window": 4294967297}})",
+          // The text grammar's retry range checks hold here too.
+          R"({"retry": {"timeout_us": -5, "backoff": 0.1},
+              "faults": ["drop:p=0.01"]})",
+          R"({"retry": {"timeout_us": -5}})",
+          R"({"retry": {"backoff": 0.1}})"}) {
         try {
             FaultPlan::parse(bad);
             ADD_FAILURE() << "accepted " << bad;
@@ -128,6 +133,19 @@ TEST(FaultPlan, RejectsMalformedClauses)
                  core::CCharError);
     EXPECT_THROW(FaultPlan::parse("drop:p=0.1@[10,5]"),
                  core::CCharError);
+    // Counts past INT_MAX are rejected, never narrowed (2^32 + 1 would
+    // otherwise wrap to 1).
+    for (const char *bad :
+         {"retry:window=4294967297", "retry:max=4294967296",
+          "link:4294967297->1:down", "link:4294967296->1:down"}) {
+        try {
+            FaultPlan::parse(bad);
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const core::CCharError &e) {
+            EXPECT_EQ(e.status().code(), core::StatusCode::ParseError)
+                << bad;
+        }
+    }
     try {
         FaultPlan::parse("bogus:clause");
         FAIL() << "expected CCharError";

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "apps/fft1d.hh"
 #include "apps/fft3d.hh"
@@ -438,22 +439,40 @@ TEST(Sampler, SeriesAndColumns)
 
 TEST(Hooks, ScopedInstallAndRestore)
 {
-    EXPECT_EQ(obs::metrics(), nullptr);
+    // All five slots, as one tuple, so a slot the scope forgets to
+    // save or restore shows up as a mismatch.
+    auto installed = [] {
+        return std::make_tuple(obs::metrics(), obs::tracer(), obs::flows(),
+                               obs::rankActivity(), obs::linkStats());
+    };
+    const auto none = installed();
+    EXPECT_EQ(none, std::make_tuple(nullptr, nullptr, nullptr, nullptr,
+                                    nullptr));
     obs::MetricsRegistry reg;
     obs::Tracer tr;
+    obs::FlowTracker fl;
+    obs::RankActivityTracker ra;
+    obs::LinkStatsTracker ls;
     {
-        obs::ScopedObservability scoped{&reg, &tr};
-        EXPECT_EQ(obs::metrics(), &reg);
-        EXPECT_EQ(obs::tracer(), &tr);
+        obs::ScopedObservability scoped{&reg, &tr, &fl, &ra, &ls};
+        const auto outer = std::make_tuple(&reg, &tr, &fl, &ra, &ls);
+        EXPECT_EQ(installed(), outer);
         {
             obs::ScopedObservability inner{nullptr};
-            EXPECT_EQ(obs::metrics(), nullptr);
-            EXPECT_EQ(obs::tracer(), nullptr);
+            EXPECT_EQ(installed(), none);
         }
-        EXPECT_EQ(obs::metrics(), &reg);
+        EXPECT_EQ(installed(), outer);
+        {
+            // The replay's rank-activity detach: only that slot moves.
+            obs::ScopedObservability detach{
+                obs::metrics(), obs::tracer(), obs::flows(), nullptr,
+                obs::linkStats()};
+            EXPECT_EQ(installed(),
+                      std::make_tuple(&reg, &tr, &fl, nullptr, &ls));
+        }
+        EXPECT_EQ(installed(), outer);
     }
-    EXPECT_EQ(obs::metrics(), nullptr);
-    EXPECT_EQ(obs::tracer(), nullptr);
+    EXPECT_EQ(installed(), none);
 }
 
 // --------------------------------------------------------------------

@@ -2,7 +2,7 @@
  * @file
  * cchar — command-line driver for the characterization tool chain.
  *
- * Subcommands:
+ * Subcommands (usage() spells out their flags, README documents them):
  *   list                             show available applications
  *   characterize <app> [options]     run + print the full report
  *   report <app> [options]           run + write the HTML run report
@@ -11,76 +11,26 @@
  *   replay <FILE> [options]          replay a trace into a mesh
  *   synth <MODEL.json> [options]     drive the mesh with synthetic
  *                                    traffic drawn from a saved
- *                                    characterization (the --json
- *                                    output of `characterize`),
- *                                    re-characterize it and report
- *                                    per-attribute model fidelity
- *   sweep <SPEC|@FILE> [options]     run a job matrix on a worker
+ *                                    characterization, re-characterize
+ *                                    it and report per-attribute model
+ *                                    fidelity
+ *   sweep [options]                  run a job matrix on a worker
  *                                    pool, merge deterministically
+ *   chaos [options]                  seeded chaos campaign over
+ *                                    generated fault plans
  *
- * Common options:
- *   --width W --height H             network dimensions
- *   --torus                          torus topology (2 VCs)
- *   --vcs N                          virtual channels
- *   --windows N                      print a windowed phase profile
- *   --phases                         detect execution phases and
- *                                    characterize each one
- *   --synthetic                      also run the fitted synthetic
- *                                    model and report validation
- *
- * Observability options:
- *   --trace-out FILE                 write a Chrome trace-event JSON
- *                                    with message flow arrows (load
- *                                    in Perfetto / about:tracing)
- *   --metrics-out FILE               write the metrics registry,
- *                                    windowed telemetry and message
- *                                    lifecycle records as JSON
- *   --report-out FILE                write the self-contained HTML
- *                                    run report (implies --phases)
- *   --sample-period US               telemetry sampling period in
- *                                    simulated microseconds (default 50)
- *   --rank-activity                  record per-rank activity
- *                                    timelines and report skew /
- *                                    idle-fraction / idle-wave
- *                                    desynchronization analytics
- *                                    (off by default; default
- *                                    outputs are unchanged)
- *   --link-stats                     record per-link utilization and
- *                                    queue occupancy and report the
- *                                    network-weather analysis
- *                                    (hotspots, Gini, congestion
- *                                    onset; off by default, default
- *                                    outputs are unchanged)
- *   --top-links N                    ranked links/routers kept in the
- *                                    network-weather output (16)
- *   --progress                       periodic progress line on stderr
- *                                    (sweep: live done/total + ETA
- *                                    and per-worker stats)
- *
- * Resilience options:
- *   --fault-plan SPEC|@FILE          run under a fault plan (clauses
- *                                    like "link:3->4:down@[10ms,25ms];
- *                                    drop:p=0.001", or @file with the
- *                                    textual or JSON plan form)
- *   --seed N                         fault-decision RNG seed override
- *   --trace-errors strict|skip       malformed trace records abort
- *                                    (strict, default) or are skipped
- *                                    with a diagnostic (skip)
- *   --strict / --lenient             aliases for --trace-errors
- *   --watchdog-period US             no-progress check period (5000)
- *   --watchdog-stalls N              checks without progress before
- *                                    the watchdog trips (8)
- *   --max-sim-time US                hard sim-time horizon (0 = none)
+ * Every flag is one entry of flagTable(), which names the subcommands
+ * that take it; the Options field it sets says what it means.
  *
  * Exit codes:
  *   0  success
  *   1  analysis or application-verification failure
- *   2  usage error (bad command line)
+ *   2  usage error (bad command line or a flag value out of range)
  *   3  input error (malformed trace or fault plan, missing file)
  *   4  simulation error (deadlock, delivery failure wedge...)
  *   5  no-progress watchdog tripped
- *   6  a sweep job exceeded its --job-timeout deadline (after
- *      exhausting --job-retries) and was quarantined
+ *   6  a sweep job exceeded its deadline (after exhausting its
+ *      retries) and was quarantined
  *   7  interrupted by SIGINT/SIGTERM; a journaled sweep can be
  *      continued with --resume
  */
@@ -88,14 +38,16 @@
 #include <atomic>
 #include <charconv>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <type_traits>
+#include <vector>
 
 #include <unistd.h>
 
@@ -111,47 +63,95 @@ namespace {
 
 using namespace cchar;
 
-/** The subcommand an Options set belongs to (selects the output). */
-enum class Command
+/**
+ * The subcommands, one bit each. An Options set belongs to one, which
+ * selects its output; a flag's mask names every subcommand taking it.
+ */
+enum Command : unsigned
 {
-    Characterize,
-    Report,
-    Replay,
-    Synth,
+    Characterize = 1 << 0,
+    Report = 1 << 1,
+    Replay = 1 << 2,
+    Trace = 1 << 3,
+    Synth = 1 << 4,
+    Sweep = 1 << 5,
+    Chaos = 1 << 6,
+    /** The subcommands that run one application or trace. */
+    Run = Characterize | Report | Replay | Trace,
 };
 
+/** Every flag value of one invocation; each subcommand reads its own. */
 struct Options
 {
     Command command = Command::Characterize;
+    /** The operand: the application, trace file or model path. */
+    std::string target;
+
+    /** Network dimensions and topology (a torus takes 2+ VCs). */
     int width = 4;
     int height = 4;
     bool torus = false;
-    int vcs = 1;
-    int windows = 0;
-    bool phases = false;
-    bool synthetic = false;
+    /** Virtual channels; unset keeps 1 or a sweep spec file's value. */
+    std::optional<int> vcs;
+
+    /** Report as JSON instead of text. */
     bool json = false;
+    /** Where the subcommand's main output goes ("" = stdout). */
     std::string out;
-    std::string traceOut;
-    std::string metricsOut;
+    /** Detect execution phases and characterize each one. */
+    bool phases = false;
+    /** Write the self-contained HTML run report (implies phases). */
     std::string reportOut;
-    double samplePeriodUs = 50.0;
-    bool progress = false;
-    /** Track per-rank activity and run the desync analysis. */
+    /** Write the metrics registry, telemetry and message lifecycles. */
+    std::string metricsOut;
+    /** Record per-rank timelines and report desynchronization. */
     bool rankActivity = false;
-    /** Track per-link stats and run the network-weather analysis. */
+    /** Record per-link utilization and report the network weather. */
     bool linkStats = false;
-    /** Ranked links/routers kept in link-weather output. */
+    /** Ranked links/routers kept in the network-weather output. */
     int topLinks = 16;
 
-    /** --fault-plan SPEC or @FILE ("" = fault-free). */
+    /** Worker threads of a sweep or chaos campaign. */
+    int jobs = 1;
+    /** Periodic progress line on stderr (sweep: done/total + ETA). */
+    bool progress = false;
+
+    /** Print a windowed phase profile of this many windows. */
+    int windows = 0;
+    /** Also run the fitted synthetic model and report validation. */
+    bool synthetic = false;
+    /** Write a Chrome trace-event JSON with message flow arrows. */
+    std::string traceOut;
+    /** Telemetry sampling period in simulated microseconds. */
+    double samplePeriodUs = 50.0;
+    /** Run under this fault plan, SPEC or @FILE ("" = fault-free). */
     std::string faultPlan;
-    /** --no-reroute: disable fault-aware adaptive routing. */
+    /** Fault-aware adaptive routing (off with --no-reroute). */
     bool reroute = true;
-    std::uint64_t seed = 0;
-    bool seedSet = false;
+    /** The fault-plan, synth or chaos seed; unset keeps theirs. */
+    std::optional<std::uint64_t> seed;
+    /** Malformed trace records abort (strict) or are skipped. */
     trace::ErrorMode traceErrors = trace::ErrorMode::Strict;
+    /** No-progress check period and stalls, and a sim-time horizon. */
     desim::WatchdogConfig watchdog{};
+
+    core::SynthRunOptions synth{};
+    /** Re-project the model onto this many processors (0 = as is). */
+    int scaleProcs = 0;
+    /** Message budget of the synthetic run (0 = the model's). */
+    std::uint64_t messages = 0;
+
+    /** Sweep dimensions; a given one overrides the spec file's. */
+    std::string specPath;
+    std::optional<std::vector<std::string>> apps;
+    std::optional<std::vector<int>> procs;
+    std::optional<std::vector<double>> loads;
+    std::optional<std::vector<std::uint64_t>> seeds;
+    std::vector<std::string> faultPlans;
+    std::string csvPath;
+    sweep::SweepRunOptions sweepRun{};
+
+    sweep::ChaosOptions chaos{};
 
     bool faulted() const { return !faultPlan.empty(); }
 
@@ -175,9 +175,9 @@ meshOf(const Options &opts)
     cfg.height = opts.height;
     if (opts.torus) {
         cfg.topology = mesh::Topology::Torus;
-        cfg.virtualChannels = std::max(opts.vcs, 2);
+        cfg.virtualChannels = std::max(opts.vcs.value_or(1), 2);
     } else {
-        cfg.virtualChannels = opts.vcs;
+        cfg.virtualChannels = opts.vcs.value_or(1);
     }
     cfg.adaptiveRouting = opts.reroute;
     return cfg;
@@ -220,8 +220,8 @@ class ObsSession
         return opts_.wantsObs() ? &flows_ : nullptr;
     }
 
-    /** Write --trace-out / --metrics-out files. False on I/O error. */
-    bool finish()
+    /** Write the trace and metrics files that were asked for. */
+    void finish()
     {
         if (opts_.wantsObs()) {
             obs::publishSinkStats(
@@ -250,7 +250,6 @@ class ObsSession
             std::cerr << "wrote metrics to " << opts_.metricsOut
                       << "\n";
         }
-        return true;
     }
 
   private:
@@ -332,133 +331,253 @@ usage()
     return 2;
 }
 
+core::CCharError
+usageError(const std::string &cmd, const std::string &what)
+{
+    return core::CCharError(core::StatusCode::UsageError, cmd + ": " + what);
+}
+
+/** One flag as given: the subcommand, the flag's spelling, its value. */
+struct Arg
+{
+    const std::string &cmd;
+    const std::string &flag;
+    const std::string &value;
+};
+
+core::CCharError
+badValue(const Arg &arg)
+{
+    return usageError(arg.cmd,
+                      "bad " + arg.flag + " value '" + arg.value + "'");
+}
+
 /**
- * The whole of @p text as a T (an integer type or double). Trailing
+ * The whole of the value as a T (an integer type or double). Trailing
  * characters, a sign an unsigned T cannot hold, or a value out of T's
  * range are a usage error: "<cmd>: bad <flag> value '<text>'".
  */
 template <typename T>
 T
-parseNumber(const std::string &cmd, const std::string &flag,
-            const std::string &text)
+parseNumber(const Arg &arg)
 {
     T v{};
-    const char *last = text.data() + text.size();
-    auto [end, ec] = std::from_chars(text.data(), last, v);
-    if (ec != std::errc{} || end != last) {
-        throw core::CCharError(core::StatusCode::UsageError,
-                               cmd + ": bad " + flag + " value '" +
-                                   text + "'");
-    }
+    const char *last = arg.value.data() + arg.value.size();
+    auto [end, ec] = std::from_chars(arg.value.data(), last, v);
+    if (ec != std::errc{} || end != last)
+        throw badValue(arg);
     return v;
 }
 
-/** @throws core::CCharError UsageError on a malformed number. */
-bool
-parseOptions(int argc, char **argv, int first, Options &opts)
+/** One flag: its spelling, the subcommands that take it, its effect. */
+struct Flag
 {
-    for (int i = first; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&](auto &slot) {
-            if (i + 1 >= argc)
-                return false;
-            slot = parseNumber<std::remove_reference_t<decltype(slot)>>(
-                argv[1], arg, argv[++i]);
-            return true;
-        };
-        if (arg == "--width") {
-            if (!next(opts.width))
-                return false;
-        } else if (arg == "--height") {
-            if (!next(opts.height))
-                return false;
-        } else if (arg == "--vcs") {
-            if (!next(opts.vcs))
-                return false;
-        } else if (arg == "--windows") {
-            if (!next(opts.windows))
-                return false;
-        } else if (arg == "--torus") {
-            opts.torus = true;
-        } else if (arg == "--phases") {
-            opts.phases = true;
-        } else if (arg == "--synthetic") {
-            opts.synthetic = true;
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else if (arg == "--out") {
-            if (i + 1 >= argc)
-                return false;
-            opts.out = argv[++i];
-        } else if (arg == "--trace-out") {
-            if (i + 1 >= argc)
-                return false;
-            opts.traceOut = argv[++i];
-        } else if (arg == "--metrics-out") {
-            if (i + 1 >= argc)
-                return false;
-            opts.metricsOut = argv[++i];
-        } else if (arg == "--report-out") {
-            if (i + 1 >= argc)
-                return false;
-            opts.reportOut = argv[++i];
-        } else if (arg == "--sample-period") {
-            if (!next(opts.samplePeriodUs) || opts.samplePeriodUs <= 0.0)
-                return false;
-        } else if (arg == "--progress") {
-            opts.progress = true;
-        } else if (arg == "--rank-activity") {
-            opts.rankActivity = true;
-        } else if (arg == "--link-stats") {
-            opts.linkStats = true;
-        } else if (arg == "--top-links") {
-            if (!next(opts.topLinks) || opts.topLinks < 1)
-                return false;
-        } else if (arg == "--fault-plan") {
-            if (i + 1 >= argc)
-                return false;
-            opts.faultPlan = argv[++i];
-            if (opts.faultPlan.empty())
-                return false;
-        } else if (arg == "--no-reroute") {
-            opts.reroute = false;
-        } else if (arg == "--seed") {
-            if (!next(opts.seed))
-                return false;
-            opts.seedSet = true;
-        } else if (arg == "--trace-errors") {
-            if (i + 1 >= argc)
-                return false;
-            std::string mode = argv[++i];
-            if (mode == "strict")
-                opts.traceErrors = trace::ErrorMode::Strict;
-            else if (mode == "skip")
-                opts.traceErrors = trace::ErrorMode::Lenient;
-            else
-                return false;
-        } else if (arg == "--strict") {
-            opts.traceErrors = trace::ErrorMode::Strict;
-        } else if (arg == "--lenient") {
-            opts.traceErrors = trace::ErrorMode::Lenient;
-        } else if (arg == "--watchdog-period") {
-            if (!next(opts.watchdog.checkPeriodUs) ||
-                opts.watchdog.checkPeriodUs <= 0.0)
-                return false;
-        } else if (arg == "--watchdog-stalls") {
-            int stalls = 0;
-            if (!next(stalls) || stalls < 1)
-                return false;
-            opts.watchdog.stallChecks = stalls;
-        } else if (arg == "--max-sim-time") {
-            if (!next(opts.watchdog.maxSimTimeUs) ||
-                opts.watchdog.maxSimTimeUs < 0.0)
-                return false;
-        } else {
-            std::cerr << "unknown option: " << arg << "\n";
-            return false;
-        }
+    const char *name;
+    unsigned commands;
+    /** Consumes the next argument (or a joined "-jN" rest). */
+    bool takesValue;
+    /** Stores the value. @throws core::CCharError UsageError. */
+    std::function<void(const Arg &)> apply;
+    /** A second spelling of the same flag, or nullptr. */
+    const char *alias = nullptr;
+};
+
+/** A switch: sets @p slot to @p to. */
+template <typename T>
+Flag
+toggle(const char *name, unsigned commands, T &slot, T to = true)
+{
+    return {name, commands, false, [&slot, to](const Arg &) { slot = to; }};
+}
+
+Flag
+text(const char *name, unsigned commands, std::string &slot)
+{
+    return {name, commands, true,
+            [&slot](const Arg &arg) { slot = arg.value; }};
+}
+
+/** The value type of a number slot: T or std::optional<T>. */
+template <typename T>
+T valueOf(T *);
+template <typename T>
+T valueOf(std::optional<T> *);
+
+/**
+ * A number, checked against @p bound when given: ">= N" or "> N". A
+ * value out of bounds is "<cmd>: <flag> must be <bound>".
+ */
+template <typename Slot>
+Flag
+number(const char *name, unsigned commands, Slot &slot,
+       const char *bound = nullptr, const char *alias = nullptr)
+{
+    return {name, commands, true,
+            [&slot, bound](const Arg &arg) {
+                auto v = parseNumber<decltype(valueOf(&slot))>(arg);
+                const double x = static_cast<double>(v);
+                const bool strict = bound && bound[1] != '=';
+                if (bound && !(strict ? x > std::atof(bound + 1)
+                                      : x >= std::atof(bound + 2)))
+                    throw usageError(arg.cmd, arg.flag + " must be " + bound);
+                slot = v;
+            },
+            alias};
+}
+
+/** A comma-separated list of numbers. */
+template <typename T>
+Flag
+numbers(const char *name, unsigned commands,
+        std::optional<std::vector<T>> &slot)
+{
+    return {name, commands, true, [&slot](const Arg &arg) {
+                slot.emplace();
+                for (const std::string &item : sweep::parseList(arg.value))
+                    slot->push_back(parseNumber<T>({arg.cmd, arg.flag, item}));
+            }};
+}
+
+/**
+ * Every flag of every subcommand, each declared once: a flag shared by
+ * several subcommands names them all in its mask.
+ */
+std::vector<Flag>
+flagTable(Options &o)
+{
+    sweep::JobPolicy &policy = o.sweepRun.policy;
+    return {
+        // Network shape.
+        number("--width", Run, o.width, ">= 1"),
+        number("--height", Run, o.height, ">= 1"),
+        toggle("--torus", Run | Sweep | Chaos, o.torus),
+        number("--vcs", Run | Sweep | Chaos, o.vcs, ">= 1"),
+        // Output and sinks.
+        toggle("--json", Run | Synth | Chaos, o.json),
+        text("--out", Run | Synth | Sweep | Chaos, o.out),
+        toggle("--phases", Run | Synth, o.phases),
+        text("--report-out", Run | Synth, o.reportOut),
+        text("--metrics-out", Run | Synth, o.metricsOut),
+        toggle("--rank-activity", Run | Synth | Sweep, o.rankActivity),
+        toggle("--link-stats", Run | Synth | Sweep, o.linkStats),
+        number("--top-links", Run | Synth, o.topLinks, ">= 1"),
+        // Worker pool.
+        number("-j", Sweep | Chaos, o.jobs, ">= 1", "--jobs"),
+        toggle("--progress", Run | Sweep | Chaos, o.progress),
+        // One application or trace.
+        number("--windows", Run, o.windows, ">= 0"),
+        toggle("--synthetic", Run | Sweep, o.synthetic),
+        text("--trace-out", Run, o.traceOut),
+        number("--sample-period", Run, o.samplePeriodUs, "> 0"),
+        {"--fault-plan", Run, true,
+         [&o](const Arg &arg) {
+             if (arg.value.empty())
+                 throw badValue(arg);
+             o.faultPlan = arg.value;
+         }},
+        toggle("--no-reroute", Run, o.reroute, false),
+        number("--seed", Run | Synth | Chaos, o.seed),
+        {"--trace-errors", Run, true,
+         [&o](const Arg &arg) {
+             if (arg.value != "strict" && arg.value != "skip")
+                 throw badValue(arg);
+             o.traceErrors = arg.value == "skip" ? trace::ErrorMode::Lenient
+                                                 : trace::ErrorMode::Strict;
+         }},
+        toggle("--strict", Run, o.traceErrors, trace::ErrorMode::Strict),
+        toggle("--lenient", Run, o.traceErrors, trace::ErrorMode::Lenient),
+        number("--watchdog-period", Run, o.watchdog.checkPeriodUs, "> 0"),
+        number("--watchdog-stalls", Run, o.watchdog.stallChecks, ">= 1"),
+        number("--max-sim-time", Run, o.watchdog.maxSimTimeUs, ">= 0"),
+        // synth.
+        number("--scale-procs", Synth, o.scaleProcs, ">= 1"),
+        number("--messages", Synth, o.messages),
+        number("--time-scale", Synth, o.synth.timeScale, "> 0"),
+        number("--max-outstanding", Synth, o.synth.maxOutstanding, ">= 0"),
+        toggle("--use-phases", Synth, o.synth.usePhases),
+        // sweep.
+        text("--spec", Sweep, o.specPath),
+        {"--apps", Sweep | Chaos, true,
+         [&o](const Arg &arg) { o.apps = sweep::parseList(arg.value); }},
+        numbers("--procs", Sweep, o.procs),
+        numbers("--loads", Sweep, o.loads),
+        {"--seeds", Sweep, true,
+         [&o](const Arg &arg) { o.seeds = sweep::parseSeeds(arg.value); }},
+        {"--fault-plan", Sweep, true,
+         [&o](const Arg &arg) { o.faultPlans.push_back(arg.value); }},
+        text("--csv", Sweep, o.csvPath),
+        text("--journal", Sweep, o.sweepRun.journalPath),
+        text("--resume", Sweep, o.sweepRun.resumePath),
+        number("--job-timeout", Sweep, policy.jobTimeoutSec, "> 0"),
+        number("--job-retries", Sweep, policy.maxRetries, ">= 0"),
+        number("--retry-backoff-ms", Sweep, policy.backoffMs, ">= 0"),
+        // chaos.
+        number("--plans", Chaos, o.chaos.plans),
+        number("--procs", Chaos, o.chaos.procs, ">= 1"),
+        number("--max-faults", Chaos, o.chaos.maxFaults),
+        number("--horizon", Chaos, o.chaos.horizonUs, ">= 2"),
+        number("--shrink-budget", Chaos, o.chaos.shrinkBudget, ">= 0"),
+    };
+}
+
+/** A subcommand: its name, the operand it takes and its body. */
+struct Subcommand
+{
+    const char *name;
+    Command command;
+    /** What the operand names ("a trace file"), or nullptr for none. */
+    const char *operand;
+    int (*run)(const Options &);
+};
+
+/**
+ * The options of `cchar <cmd> [operand] [flags]`: the one parse loop of
+ * every subcommand.
+ * @throws core::CCharError UsageError "<cmd>: ..." on a missing
+ *         operand, an unknown flag, a missing or a bad value.
+ */
+Options
+parseOptions(const Subcommand &sub, int argc, char **argv)
+{
+    Options o;
+    o.command = sub.command;
+    const std::string cmd = sub.name;
+    int i = 2;
+    if (sub.operand) {
+        if (argc < 3 || argv[2][0] == '-')
+            throw usageError(cmd, std::string{"needs "} + sub.operand);
+        o.target = argv[i++];
     }
-    return true;
+    const std::vector<Flag> flags = flagTable(o);
+    auto find = [&](const std::string &name) -> const Flag * {
+        for (const Flag &f : flags) {
+            if ((f.commands & sub.command) &&
+                (name == f.name || (f.alias && name == f.alias)))
+                return &f;
+        }
+        return nullptr;
+    };
+    for (; i < argc; ++i) {
+        const std::string arg = argv[i];
+        std::string name = arg;
+        std::string value;
+        const Flag *flag = find(arg);
+        if (!flag && arg.size() > 2 && arg[0] == '-' && arg[1] != '-') {
+            // The make-style joined short form: "-j8" is "-j 8".
+            name = arg.substr(0, 2);
+            value = arg.substr(2);
+            flag = find(name);
+        }
+        if (!flag || (name != arg && !flag->takesValue))
+            throw usageError(cmd, "unknown option: " + arg);
+        if (flag->takesValue && name == arg) {
+            if (i + 1 >= argc)
+                throw usageError(cmd, arg + " needs a value");
+            value = argv[++i];
+        }
+        flag->apply({cmd, name, value});
+    }
+    return o;
 }
 
 /**
@@ -483,8 +602,8 @@ loadFaultPlan(const Options &opts)
         text = ss.str();
     }
     fault::FaultPlan plan = fault::FaultPlan::parse(text);
-    if (opts.seedSet)
-        plan.setSeed(opts.seed);
+    if (opts.seed)
+        plan.setSeed(*opts.seed);
     return plan;
 }
 
@@ -509,6 +628,18 @@ printWindows(const trace::TrafficLog &log, int windows)
     }
 }
 
+/** Run @p write on an atomic writer of @p path, or on stdout if "". */
+template <typename Write>
+void
+writeOut(const std::string &path, const char *context, Write write)
+{
+    if (path.empty())
+        return write(std::cout);
+    core::AtomicFileWriter writer{path, context};
+    write(writer.stream());
+    writer.commit();
+}
+
 /**
  * Analysis options of a CLI run: phases when asked for or when an HTML
  * report needs them, telemetry into the session's sampler.
@@ -525,18 +656,6 @@ pipelineOptions(const Options &opts, ObsSession &obsSession)
     return popts;
 }
 
-/** The network, faults and watchdog of an app or trace run. */
-core::RunSpec
-specOf(const Options &opts, std::optional<fault::FaultInjector> &injector)
-{
-    core::RunSpec spec;
-    spec.machine.mesh = meshOf(opts);
-    spec.mp.mesh = spec.machine.mesh;
-    spec.faults = injector ? &*injector : nullptr;
-    spec.watchdog = opts.watchdog;
-    return spec;
-}
-
 /**
  * Output step shared by characterize, report, replay and synth: the
  * --trace-out/--metrics-out files, the HTML report, then the report as
@@ -547,8 +666,7 @@ emitRun(const Options &opts, ObsSession &obsSession,
         const core::RunResult &run)
 {
     const core::CharacterizationReport &report = run.report;
-    if (!obsSession.finish())
-        return 1;
+    obsSession.finish();
 
     core::HtmlReportInputs html;
     html.report = &report;
@@ -589,26 +707,21 @@ emitRun(const Options &opts, ObsSession &obsSession,
                       << " delivery failures\n";
         }
     }
-    if (opts.command == Command::Synth && !opts.out.empty()) {
-        core::AtomicFileWriter writer{opts.out, "synth"};
-        if (opts.json)
-            report.writeJson(writer.stream());
-        else
-            report.print(writer.stream());
-        writer.commit();
-    } else if (opts.json) {
-        report.writeJson(std::cout);
-    } else {
-        report.print(std::cout);
-    }
+    // Of these subcommands only synth writes its report to --out.
+    writeOut(opts.command == Command::Synth ? opts.out : "", "synth",
+             [&](std::ostream &os) {
+                 if (opts.json)
+                     report.writeJson(os);
+                 else
+                     report.print(os);
+             });
     // A replayed trace has no application to verify.
     if (!report.verified && opts.command != Command::Replay) {
         std::cerr << "WARNING: application verification FAILED\n";
         return 1;
     }
     // The text phase profile would trail the JSON document and break
-    // `cchar ... --json | python3 -m json.tool` style consumers, so it
-    // is text-mode only.
+    // `python3 -m json.tool` style consumers, so it is text-mode only.
     if (opts.windows > 0 && !opts.json)
         printWindows(run.drive.log, opts.windows);
     if (opts.synthetic) {
@@ -621,31 +734,54 @@ emitRun(const Options &opts, ObsSession &obsSession,
     return 0;
 }
 
-/** `characterize` and `report`: run an application and report on it. */
+/**
+ * `characterize`, `report` and `replay`: run an application (or replay
+ * a trace) under the requested network, faults and watchdog, and
+ * report on it.
+ */
 int
-cmdCharacterize(const std::string &name, const Options &opts)
+cmdRun(const Options &opts)
 {
+    const std::string &name = opts.target;
     ObsSession obsSession{opts};
     // The injector registers its fault.* metrics at construction, so
     // it must come after the ObsSession installs the registry.
     std::optional<fault::FaultInjector> injector;
     if (opts.faulted())
         injector.emplace(loadFaultPlan(opts));
-    std::unique_ptr<apps::SharedMemoryApp> app = makeSharedMemoryApp(name);
-    std::unique_ptr<apps::MessagePassingApp> mpApp =
-        app ? nullptr : makeMessagePassingApp(name);
-    if (!app && !mpApp) {
-        std::cerr << "unknown application: " << name << "\n";
-        return usage();
-    }
-    core::RunSpec spec = specOf(opts, injector);
-    spec.sharedMemoryApp = app.get();
-    spec.messagePassingApp = mpApp.get();
+    core::RunSpec spec;
+    spec.machine.mesh = meshOf(opts);
+    spec.mp.mesh = spec.machine.mesh;
+    spec.faults = injector ? &*injector : nullptr;
+    spec.watchdog = opts.watchdog;
     spec.application = name;
-    if (opts.progress) {
-        spec.onAppSimulator = [&opts](desim::Simulator &sim) {
-            attachProgress(sim, opts.samplePeriodUs * 10.0);
-        };
+    trace::Trace t;
+    std::unique_ptr<apps::SharedMemoryApp> app;
+    std::unique_ptr<apps::MessagePassingApp> mpApp;
+    if (opts.command == Command::Replay) {
+        trace::TraceLoadOptions lopts;
+        lopts.errors = opts.traceErrors;
+        t = trace::Trace::loadFile(name, lopts);
+        if (t.skippedRecords() > 0) {
+            std::cerr << "warning: skipped " << t.skippedRecords()
+                      << " malformed trace record"
+                      << (t.skippedRecords() == 1 ? "" : "s") << "\n";
+        }
+        spec.trace = &t;
+    } else {
+        app = makeSharedMemoryApp(name);
+        mpApp = app ? nullptr : makeMessagePassingApp(name);
+        if (!app && !mpApp) {
+            std::cerr << "unknown application: " << name << "\n";
+            return usage();
+        }
+        spec.sharedMemoryApp = app.get();
+        spec.messagePassingApp = mpApp.get();
+        if (opts.progress) {
+            spec.onAppSimulator = [&opts](desim::Simulator &sim) {
+                attachProgress(sim, opts.samplePeriodUs * 10.0);
+            };
+        }
     }
     return emitRun(opts, obsSession,
                    core::runCharacterization(
@@ -653,8 +789,9 @@ cmdCharacterize(const std::string &name, const Options &opts)
 }
 
 int
-cmdTrace(const std::string &name, const Options &opts)
+cmdTrace(const Options &opts)
 {
+    const std::string &name = opts.target;
     auto app = makeMessagePassingApp(name);
     if (!app) {
         std::cerr << "unknown message-passing application: " << name
@@ -680,33 +817,10 @@ cmdTrace(const std::string &name, const Options &opts)
     return app->verify() ? 0 : 1;
 }
 
-int
-cmdReplay(const std::string &path, const Options &opts)
-{
-    trace::TraceLoadOptions lopts;
-    lopts.errors = opts.traceErrors;
-    trace::Trace t = trace::Trace::loadFile(path, lopts);
-    if (t.skippedRecords() > 0) {
-        std::cerr << "warning: skipped " << t.skippedRecords()
-                  << " malformed trace record"
-                  << (t.skippedRecords() == 1 ? "" : "s") << "\n";
-    }
-    ObsSession obsSession{opts};
-    std::optional<fault::FaultInjector> injector;
-    if (opts.faulted())
-        injector.emplace(loadFaultPlan(opts));
-    core::RunSpec spec = specOf(opts, injector);
-    spec.trace = &t;
-    spec.application = path;
-    return emitRun(opts, obsSession,
-                   core::runCharacterization(
-                       spec, pipelineOptions(opts, obsSession)));
-}
-
 /**
  * `cchar synth` — model-driven traffic replay at arbitrary scale.
  *
- * Loads a characterization JSON (the --json output of `characterize`),
+ * Loads a characterization JSON (the JSON report of `characterize`),
  * optionally re-projects it onto a larger topology (--scale-procs) and
  * a larger message budget (--messages), drives the mesh simulator with
  * seeded draws from the fitted distributions, re-characterizes the
@@ -716,95 +830,19 @@ cmdReplay(const std::string &path, const Options &opts)
  * output.
  */
 int
-cmdSynth(int argc, char **argv)
+cmdSynth(const Options &opts)
 {
-    if (argc < 3 || argv[2][0] == '-') {
-        throw core::CCharError(core::StatusCode::UsageError,
-                               "synth: needs a model JSON path");
-    }
-    std::string modelPath = argv[2];
-    Options opts;
-    opts.command = Command::Synth;
-    core::SynthRunOptions ropts;
-    int scaleProcs = 0;
-    std::uint64_t messages = 0;
-
-    auto value = [&](int &i, const std::string &flag) -> std::string {
-        if (i + 1 >= argc) {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "synth: " + flag + " needs a value");
-        }
-        return argv[++i];
-    };
-
-    for (int i = 3; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--scale-procs") {
-            scaleProcs = parseNumber<int>("synth", arg, value(i, arg));
-            if (scaleProcs < 1) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: --scale-procs must be "
-                                       ">= 1");
-            }
-        } else if (arg == "--messages") {
-            messages =
-                parseNumber<std::uint64_t>("synth", arg, value(i, arg));
-        } else if (arg == "--seed") {
-            ropts.seed =
-                parseNumber<std::uint64_t>("synth", arg, value(i, arg));
-        } else if (arg == "--time-scale") {
-            ropts.timeScale =
-                parseNumber<double>("synth", arg, value(i, arg));
-            if (ropts.timeScale <= 0.0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: --time-scale must be "
-                                       "> 0");
-            }
-        } else if (arg == "--max-outstanding") {
-            ropts.maxOutstanding =
-                parseNumber<int>("synth", arg, value(i, arg));
-            if (ropts.maxOutstanding < 0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: --max-outstanding "
-                                       "cannot be negative");
-            }
-        } else if (arg == "--use-phases") {
-            ropts.usePhases = true;
-        } else if (arg == "--phases") {
-            opts.phases = true;
-        } else if (arg == "--json") {
-            opts.json = true;
-        } else if (arg == "--out") {
-            opts.out = value(i, arg);
-        } else if (arg == "--report-out") {
-            opts.reportOut = value(i, arg);
-        } else if (arg == "--metrics-out") {
-            opts.metricsOut = value(i, arg);
-        } else if (arg == "--rank-activity") {
-            opts.rankActivity = true;
-        } else if (arg == "--link-stats") {
-            opts.linkStats = true;
-        } else if (arg == "--top-links") {
-            opts.topLinks = parseNumber<int>("synth", arg, value(i, arg));
-            if (opts.topLinks < 1) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "synth: --top-links must be "
-                                       ">= 1");
-            }
-        } else {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "synth: unknown option '" + arg +
-                                       "'");
-        }
-    }
+    const std::string &modelPath = opts.target;
+    core::SynthRunOptions ropts = opts.synth;
+    ropts.seed = opts.seed.value_or(ropts.seed);
 
     core::SyntheticModel model =
         core::SyntheticModel::fromJsonFile(modelPath);
     const int origProcs = model.nprocs;
     const int origNodes = model.mesh.nodes();
     const std::size_t origTotal = model.totalMessages();
-    if (scaleProcs > 0 || messages > 0)
-        model = model.scaleTo(scaleProcs, messages);
+    if (opts.scaleProcs > 0 || opts.messages > 0)
+        model = model.scaleTo(opts.scaleProcs, opts.messages);
 
     // The trackers must be ambient before the generator builds its
     // MeshNetwork (components resolve the sinks at construction).
@@ -839,15 +877,6 @@ cmdSynth(int argc, char **argv)
     return 0;
 }
 
-} // namespace
-
-/**
- * `cchar sweep` — run a whole experiment matrix across worker threads.
- *
- * Dimensions come from a JSON spec file (--spec) and/or CLI lists;
- * CLI dimension flags override the spec file. The aggregate report is
- * deterministic: byte-identical output for any -j value.
- */
 /**
  * Graceful-shutdown signal counter. The handler only bumps the
  * counter (async-signal-safe); the sweep engine's monitor thread and
@@ -895,120 +924,35 @@ class ScopedSweepSignals
     struct sigaction oldTerm_ = {};
 };
 
+/**
+ * `cchar sweep` — run a whole experiment matrix across worker threads.
+ *
+ * Dimensions come from a JSON spec file and/or CLI lists; CLI
+ * dimension flags override the spec file. The aggregate report is
+ * deterministic: byte-identical output for any worker count.
+ */
 int
-cmdSweep(int argc, char **argv)
+cmdSweep(const Options &opts)
 {
     sweep::SweepSpec spec;
-    int jobs = 1;
-    bool progress = false;
-    std::string outPath, csvPath;
-    sweep::SweepRunOptions ropts;
+    if (!opts.specPath.empty())
+        spec = sweep::SweepSpec::fromJsonFile(opts.specPath);
+    // CLI flags override individual dimensions of the spec file.
+    spec.apps = opts.apps.value_or(spec.apps);
+    spec.procs = opts.procs.value_or(spec.procs);
+    spec.loads = opts.loads.value_or(spec.loads);
+    spec.seeds = opts.seeds.value_or(spec.seeds);
+    spec.vcs = opts.vcs.value_or(spec.vcs);
+    if (!opts.faultPlans.empty())
+        spec.faultPlans = opts.faultPlans;
+    spec.torus = spec.torus || opts.torus;
+    spec.rankActivity = spec.rankActivity || opts.rankActivity;
+    spec.linkStats = spec.linkStats || opts.linkStats;
+    spec.synthetic = spec.synthetic || opts.synthetic;
 
-    auto value = [&](int &i, const std::string &flag) -> std::string {
-        if (i + 1 >= argc) {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "sweep: " + flag + " needs a value");
-        }
-        return argv[++i];
-    };
-
-    // Pass 1: the spec file seeds the matrix...
-    for (int i = 2; i < argc; ++i) {
-        if (std::string{argv[i]} == "--spec")
-            spec = sweep::SweepSpec::fromJsonFile(value(i, "--spec"));
-    }
-    // ...pass 2: CLI flags override individual dimensions.
-    bool sawFaultPlan = false;
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--spec") {
-            ++i; // consumed in pass 1
-        } else if (arg == "--apps") {
-            spec.apps = sweep::parseList(value(i, arg));
-        } else if (arg == "--procs") {
-            spec.procs.clear();
-            for (const std::string &item :
-                 sweep::parseList(value(i, arg)))
-                spec.procs.push_back(parseNumber<int>("sweep", "procs", item));
-        } else if (arg == "--loads") {
-            spec.loads.clear();
-            for (const std::string &item :
-                 sweep::parseList(value(i, arg)))
-                spec.loads.push_back(
-                    parseNumber<double>("sweep", "load", item));
-        } else if (arg == "--seeds") {
-            spec.seeds = sweep::parseSeeds(value(i, arg));
-        } else if (arg == "--fault-plan") {
-            if (!sawFaultPlan) {
-                spec.faultPlans.clear();
-                sawFaultPlan = true;
-            }
-            spec.faultPlans.push_back(value(i, arg));
-        } else if (arg == "--torus") {
-            spec.torus = true;
-        } else if (arg == "--vcs") {
-            spec.vcs = parseNumber<int>("sweep", arg, value(i, arg));
-        } else if (arg == "--rank-activity") {
-            spec.rankActivity = true;
-        } else if (arg == "--link-stats") {
-            spec.linkStats = true;
-        } else if (arg == "--synthetic") {
-            spec.synthetic = true;
-        } else if (arg == "--progress") {
-            progress = true;
-        } else if (arg == "-j" || arg == "--jobs" ||
-                   arg.rfind("-j", 0) == 0) {
-            // Accept both "-j 8" and the make-style joined "-j8".
-            std::string count = (arg == "-j" || arg == "--jobs")
-                                    ? value(i, arg)
-                                    : arg.substr(2);
-            jobs = parseNumber<int>("sweep", "-j", count);
-            if (jobs < 1) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "sweep: -j needs a positive "
-                                       "worker count");
-            }
-        } else if (arg == "--out") {
-            outPath = value(i, arg);
-        } else if (arg == "--csv") {
-            csvPath = value(i, arg);
-        } else if (arg == "--journal") {
-            ropts.journalPath = value(i, arg);
-        } else if (arg == "--resume") {
-            ropts.resumePath = value(i, arg);
-        } else if (arg == "--job-timeout") {
-            ropts.policy.jobTimeoutSec =
-                parseNumber<double>("sweep", arg, value(i, arg));
-            if (ropts.policy.jobTimeoutSec <= 0.0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "sweep: --job-timeout needs a "
-                                       "positive number of seconds");
-            }
-        } else if (arg == "--job-retries") {
-            ropts.policy.maxRetries =
-                parseNumber<int>("sweep", arg, value(i, arg));
-            if (ropts.policy.maxRetries < 0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "sweep: --job-retries cannot "
-                                       "be negative");
-            }
-        } else if (arg == "--retry-backoff-ms") {
-            ropts.policy.backoffMs =
-                parseNumber<double>("sweep", arg, value(i, arg));
-            if (ropts.policy.backoffMs < 0.0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "sweep: --retry-backoff-ms "
-                                       "cannot be negative");
-            }
-        } else {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "sweep: unknown option '" + arg +
-                                       "'");
-        }
-    }
-
-    ropts.workers = jobs;
-    ropts.progress = progress;
+    sweep::SweepRunOptions ropts = opts.sweepRun;
+    ropts.workers = opts.jobs;
+    ropts.progress = opts.progress;
     ropts.shutdown = &gSweepSignals;
     ScopedSweepSignals signalScope;
 
@@ -1043,17 +987,11 @@ cmdSweep(int argc, char **argv)
         return core::exitCodeOf(core::StatusCode::Interrupted);
     }
 
-    if (outPath.empty()) {
-        result.writeJson(std::cout);
-    } else {
-        core::AtomicFileWriter writer{outPath, "sweep"};
-        result.writeJson(writer.stream());
-        writer.commit();
-    }
-    if (!csvPath.empty()) {
-        core::AtomicFileWriter writer{csvPath, "sweep"};
-        result.writeCsv(writer.stream());
-        writer.commit();
+    writeOut(opts.out, "sweep",
+             [&](std::ostream &os) { result.writeJson(os); });
+    if (!opts.csvPath.empty()) {
+        writeOut(opts.csvPath, "sweep",
+                 [&](std::ostream &os) { result.writeCsv(os); });
     }
 
     std::size_t unverified = 0;
@@ -1067,7 +1005,7 @@ cmdSweep(int argc, char **argv)
     if (std::size_t r = result.retries())
         std::cerr << ", " << r << " retries";
     std::cerr << "\n";
-    if (progress) {
+    if (opts.progress) {
         // The wall-clock worker view only ever reaches stderr; the
         // serialized reports keep the matching gauges zeroed so they
         // stay byte-identical across -j (see sweep/engine.cc).
@@ -1096,102 +1034,39 @@ cmdSweep(int argc, char **argv)
  * not an error) — nonzero only for usage or infrastructure problems.
  */
 int
-cmdChaos(int argc, char **argv)
+cmdChaos(const Options &opts)
 {
-    sweep::ChaosOptions copts;
-    int jobs = 1;
-    bool progress = false;
-    bool json = false;
-    std::string outPath;
-
-    auto value = [&](int &i, const std::string &flag) -> std::string {
-        if (i + 1 >= argc) {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "chaos: " + flag + " needs a value");
-        }
-        return argv[++i];
-    };
-
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--apps") {
-            copts.apps = sweep::parseList(value(i, arg));
-        } else if (arg == "--procs") {
-            copts.procs = parseNumber<int>("chaos", arg, value(i, arg));
-            if (copts.procs < 1) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "chaos: --procs must be >= 1");
-            }
-        } else if (arg == "--plans") {
-            copts.plans = parseNumber<int>("chaos", arg, value(i, arg));
-        } else if (arg == "--seed") {
-            copts.seed =
-                parseNumber<std::uint64_t>("chaos", arg, value(i, arg));
-        } else if (arg == "--max-faults") {
-            copts.maxFaults = parseNumber<int>("chaos", arg, value(i, arg));
-        } else if (arg == "--horizon") {
-            copts.horizonUs =
-                parseNumber<double>("chaos", arg, value(i, arg));
-            if (copts.horizonUs < 2.0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "chaos: --horizon must be >= 2");
-            }
-        } else if (arg == "--shrink-budget") {
-            copts.shrinkBudget =
-                parseNumber<int>("chaos", arg, value(i, arg));
-            if (copts.shrinkBudget < 0) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "chaos: --shrink-budget cannot "
-                                       "be negative");
-            }
-        } else if (arg == "--torus") {
-            copts.torus = true;
-        } else if (arg == "--vcs") {
-            copts.vcs = parseNumber<int>("chaos", arg, value(i, arg));
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--out") {
-            outPath = value(i, arg);
-        } else if (arg == "--progress") {
-            progress = true;
-        } else if (arg == "-j" || arg == "--jobs" ||
-                   arg.rfind("-j", 0) == 0) {
-            std::string count = (arg == "-j" || arg == "--jobs")
-                                    ? value(i, arg)
-                                    : arg.substr(2);
-            jobs = parseNumber<int>("chaos", "-j", count);
-            if (jobs < 1) {
-                throw core::CCharError(core::StatusCode::UsageError,
-                                       "chaos: -j needs a positive "
-                                       "worker count");
-            }
-        } else {
-            throw core::CCharError(core::StatusCode::UsageError,
-                                   "chaos: unknown option '" + arg +
-                                       "'");
-        }
-    }
+    sweep::ChaosOptions copts = opts.chaos;
+    copts.seed = opts.seed.value_or(copts.seed);
+    copts.apps = opts.apps.value_or(copts.apps);
+    copts.vcs = opts.vcs.value_or(copts.vcs);
+    copts.torus = opts.torus;
 
     sweep::ChaosHarness harness{copts};
-    sweep::ChaosResult result = harness.run(jobs, progress);
+    sweep::ChaosResult result = harness.run(opts.jobs, opts.progress);
 
-    if (outPath.empty()) {
-        if (json)
-            result.writeJson(std::cout);
+    writeOut(opts.out, "chaos", [&](std::ostream &os) {
+        if (opts.json)
+            result.writeJson(os);
         else
-            result.print(std::cout);
-    } else {
-        core::AtomicFileWriter writer{outPath, "chaos"};
-        if (json)
-            result.writeJson(writer.stream());
-        else
-            result.print(writer.stream());
-        writer.commit();
-    }
+            result.print(os);
+    });
     std::cerr << "chaos: " << result.jobs.size() << " jobs, "
               << result.failingCount() << " failing plans shrunk\n";
     return 0;
 }
+
+const Subcommand kSubcommands[] = {
+    {"characterize", Command::Characterize, "an application", cmdRun},
+    {"report", Command::Report, "an application", cmdRun},
+    {"trace", Command::Trace, "a message-passing application", cmdTrace},
+    {"replay", Command::Replay, "a trace file", cmdRun},
+    {"synth", Command::Synth, "a model JSON path", cmdSynth},
+    {"sweep", Command::Sweep, nullptr, cmdSweep},
+    {"chaos", Command::Chaos, nullptr, cmdChaos},
+};
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -1210,64 +1085,35 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (cmd == "sweep" || cmd == "chaos" || cmd == "synth") {
-        try {
-            return cmd == "sweep"   ? cmdSweep(argc, argv)
-                   : cmd == "chaos" ? cmdChaos(argc, argv)
-                                    : cmdSynth(argc, argv);
-        } catch (const core::CCharError &err) {
-            std::cerr << "error: " << err.what() << "\n";
-            return core::exitCodeOf(err.status().code());
-        } catch (const std::exception &err) {
-            std::cerr << "error: " << err.what() << "\n";
-            return core::exitCodeOf(core::StatusCode::SimError);
-        }
+    const Subcommand *sub = nullptr;
+    for (const Subcommand &s : kSubcommands) {
+        if (cmd == s.name)
+            sub = &s;
     }
-
-    if (argc < 3)
+    if (!sub)
         return usage();
-    std::string target = argv[2];
-    Options opts;
 
     // Recoverable problems (lenient trace ingest, delivery failures)
     // land here instead of aborting; dumped to stderr on exit.
     core::DiagnosticSink sink;
     core::ScopedDiagnostics diagGuard{&sink};
-    auto flushDiagnostics = [&sink] {
-        if (!sink.empty())
-            sink.writeText(std::cerr);
-    };
-
+    int rc = 0;
+    std::string error;
     try {
-        if (!parseOptions(argc, argv, 3, opts))
-            return usage();
-        int rc = 2;
-        if (cmd == "characterize") {
-            rc = cmdCharacterize(target, opts);
-        } else if (cmd == "report") {
-            opts.command = Command::Report;
-            rc = cmdCharacterize(target, opts);
-        } else if (cmd == "trace") {
-            rc = cmdTrace(target, opts);
-        } else if (cmd == "replay") {
-            opts.command = Command::Replay;
-            rc = cmdReplay(target, opts);
-        } else {
-            return usage();
-        }
-        flushDiagnostics();
-        return rc;
+        rc = sub->run(parseOptions(*sub, argc, argv));
     } catch (const desim::WatchdogError &err) {
-        flushDiagnostics();
-        std::cerr << "error: " << err.what() << "\n";
-        return core::exitCodeOf(core::StatusCode::WatchdogTrip);
+        error = err.what();
+        rc = core::exitCodeOf(core::StatusCode::WatchdogTrip);
     } catch (const core::CCharError &err) {
-        flushDiagnostics();
-        std::cerr << "error: " << err.what() << "\n";
-        return core::exitCodeOf(err.status().code());
+        error = err.what();
+        rc = core::exitCodeOf(err.status().code());
     } catch (const std::exception &err) {
-        flushDiagnostics();
-        std::cerr << "error: " << err.what() << "\n";
-        return core::exitCodeOf(core::StatusCode::SimError);
+        error = err.what();
+        rc = core::exitCodeOf(core::StatusCode::SimError);
     }
+    if (!sink.empty())
+        sink.writeText(std::cerr);
+    if (!error.empty())
+        std::cerr << "error: " << error << "\n";
+    return rc;
 }
