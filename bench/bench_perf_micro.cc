@@ -338,10 +338,9 @@ rerouteWorkload(int mode)
         // true (checks run per packet) but linkDown() never is.
         inj.emplace(fault::FaultPlan::parse(
             "seed=1; link:0->1:down@[1e9us,2e9us]"));
-        cfg.faults = &*inj;
         cfg.adaptiveRouting = mode == 2;
     }
-    mesh::MeshNetwork net{sim, cfg};
+    mesh::MeshNetwork net{sim, cfg, nullptr, inj ? &*inj : nullptr};
     for (int node = 0; node < 16; ++node) {
         sim.spawn([](mesh::MeshNetwork *n, int node2) -> desim::Task<void> {
             for (;;)

@@ -21,18 +21,20 @@ namespace {
 void
 validateRow(const cchar::core::CharacterizationReport &report)
 {
-    auto open = cchar::core::validateModel(report, 1234, 0);
-    auto paced = cchar::core::validateModel(report, 1234, 4);
+    using cchar::core::validateReportModel;
+    auto open = validateReportModel(report, {.seed = 1234});
+    auto paced = validateReportModel(report,
+                                     {.seed = 1234, .maxOutstanding = 4});
     std::cout << std::left << std::setw(10) << report.application
               << std::right << std::fixed << std::setprecision(4)
-              << std::setw(11) << open.originalLatencyMean
-              << std::setw(11) << open.syntheticLatencyMean
-              << std::setw(11) << paced.syntheticLatencyMean
-              << std::setw(11) << open.originalContentionMean
-              << std::setw(11) << paced.syntheticContentionMean
+              << std::setw(11) << report.network.latencyMean
+              << std::setw(11) << open.network.latencyMean
+              << std::setw(11) << paced.network.latencyMean
+              << std::setw(11) << report.network.contentionMean
+              << std::setw(11) << paced.network.contentionMean
               << std::setw(10) << std::setprecision(1)
-              << open.latencyError() * 100.0 << "%" << std::setw(9)
-              << paced.latencyError() * 100.0 << "%\n";
+              << open.latencyError * 100.0 << "%" << std::setw(9)
+              << paced.latencyError * 100.0 << "%\n";
 }
 
 } // namespace

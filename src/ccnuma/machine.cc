@@ -8,7 +8,8 @@
 
 namespace cchar::ccnuma {
 
-Machine::Machine(desim::Simulator &sim, const MachineConfig &cfg)
+Machine::Machine(desim::Simulator &sim, const MachineConfig &cfg,
+                 fault::FaultInjector *faults)
     : sim_(&sim), cfg_(cfg), log_(cfg.nprocs())
 {
     if (cfg_.nprocs() > 64)
@@ -19,7 +20,8 @@ Machine::Machine(desim::Simulator &sim, const MachineConfig &cfg)
         throw std::invalid_argument("ccnuma: line size must be a power "
                                     "of two");
     }
-    net_ = std::make_unique<mesh::MeshNetwork>(*sim_, cfg_.mesh, &log_);
+    net_ = std::make_unique<mesh::MeshNetwork>(*sim_, cfg_.mesh, &log_,
+                                               faults);
     nodes_.reserve(static_cast<std::size_t>(cfg_.nprocs()));
     for (int i = 0; i < cfg_.nprocs(); ++i) {
         nodes_.push_back(std::make_unique<NodeController>(*this, i));

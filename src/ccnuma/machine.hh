@@ -65,12 +65,9 @@ struct MachineConfig
 class Machine
 {
   public:
-    Machine(desim::Simulator &sim, const MachineConfig &cfg);
-
-    /** Convenience: default configuration. */
-    explicit Machine(desim::Simulator &sim)
-        : Machine(sim, MachineConfig{})
-    {}
+    /** @param faults  Fault oracle of the network (see MeshNetwork). */
+    Machine(desim::Simulator &sim, const MachineConfig &cfg,
+            fault::FaultInjector *faults = nullptr);
 
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;

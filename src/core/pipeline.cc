@@ -197,27 +197,21 @@ runCharacterization(const RunSpec &spec, const PipelineOptions &opts)
     };
 
     if (spec.sharedMemoryApp) {
-        ccnuma::MachineConfig cfg = spec.machine;
-        if (spec.faults)
-            cfg.mesh.faults = spec.faults;
         desim::Simulator sim;
-        ccnuma::Machine machine{sim, cfg};
+        ccnuma::Machine machine{sim, spec.machine, spec.faults};
         execute(sim, machine, *spec.sharedMemoryApp, spec, opts.sampler,
                 opts.samplePeriodUs,
                 [&machine] { return machine.network().messageCount(); });
         drive.log = std::move(machine.log());
         drive.measure(machine.network(), sim.now());
         finishTrackers(sim.now());
-        characterize(cfg.mesh, Strategy::Dynamic);
+        characterize(spec.machine.mesh, Strategy::Dynamic);
         report.verified = spec.sharedMemoryApp->verify();
         if (spec.faults)
             fillResilience(report.resilience, *spec.faults, 0, 0, 0);
     } else if (spec.messagePassingApp) {
-        mp::MpConfig cfg = spec.mp;
-        if (spec.faults)
-            cfg.mesh.faults = spec.faults;
         desim::Simulator sim;
-        mp::MpWorld world{sim, cfg};
+        mp::MpWorld world{sim, spec.mp, spec.faults};
         world.enableTracing();
         // Delivered messages plus resolved delivery failures: a bounded
         // retry budget draining on a hostile plan (e.g. drop:1.0) is
@@ -246,11 +240,11 @@ runCharacterization(const RunSpec &spec, const PipelineOptions &opts)
                 links};
             if (links)
                 links->reset();
-            drive = replayTrace(collected, cfg.mesh, spec, opts);
+            drive = replayTrace(collected, spec.mp.mesh, spec, opts);
         }
         if (links)
             links->finish(drive.makespan);
-        characterize(cfg.mesh, Strategy::Static);
+        characterize(spec.mp.mesh, Strategy::Static);
         report.verified = verified;
         if (spec.faults) {
             fillResilience(report.resilience, *spec.faults,

@@ -117,9 +117,6 @@ TraceReplayer::replay(const trace::Trace &trace,
         lagHist = reg->histogram("replay.lag_us");
     }
 
-    mesh::MeshConfig meshCfg = mesh;
-    if (opts.faults)
-        meshCfg.faults = opts.faults;
     const fault::RetryConfig *retry = nullptr;
     if (opts.faults && opts.blocking)
         retry = &opts.faults->plan().retry();
@@ -127,7 +124,7 @@ TraceReplayer::replay(const trace::Trace &trace,
     DriveResult result;
     ReplayResilience resilience;
     desim::Simulator sim;
-    mesh::MeshNetwork net{sim, meshCfg, &result.log};
+    mesh::MeshNetwork net{sim, mesh, &result.log, opts.faults};
     desim::Watchdog watchdog{sim, opts.watchdog};
     if (opts.enableWatchdog) {
         // Progress = delivered messages plus resolved delivery

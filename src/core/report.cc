@@ -408,6 +408,18 @@ CharacterizationReport::writeJson(std::ostream &os) const
            << ",\"maxKs\":" << sf.maxKs() << "}";
     }
 
+    // Emitted only for `--synthetic` runs; `cchar synth` skips the key
+    // when it loads the document as a model.
+    if (synthetic.enabled) {
+        const SynthesisFidelity &sf = synthetic.fidelity;
+        os << ",\"synthetic\":{\"latencyMean\":"
+           << synthetic.network.latencyMean << ",\"contentionMean\":"
+           << synthetic.network.contentionMean << ",\"latencyError\":"
+           << synthetic.latencyError << ",\"temporalKs\":"
+           << sf.temporalKs << ",\"spatialKs\":" << sf.spatialKs
+           << ",\"volumeKs\":" << sf.volumeKs << "}";
+    }
+
     // Emitted only for faulted runs: a fault-free report renders
     // byte-identically to earlier versions.
     if (resilience.enabled) {

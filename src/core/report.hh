@@ -340,6 +340,21 @@ struct SynthesisFidelity
     }
 };
 
+/**
+ * The report's own fitted model, replayed fault-free and compared with
+ * the run it was fitted to (`--synthetic`; rendered only when enabled).
+ */
+struct ModelValidation
+{
+    bool enabled = false;
+    /** Network behaviour of the model replay (avgHops left 0). */
+    NetworkSummary network;
+    /** (replay - original) / original mean latency; 0 if original is 0. */
+    double latencyError = 0.0;
+    /** Per-attribute KS divergence of the replay from the model. */
+    SynthesisFidelity fidelity;
+};
+
 /** Acquisition strategy used for the run. */
 enum class Strategy
 {
@@ -388,6 +403,8 @@ struct CharacterizationReport
     LinkWeatherSummary linkStats;
     /** Model-replay divergence (rendered only for `synth` runs). */
     SynthesisFidelity synthFidelity;
+    /** Replay of this report's model (rendered only when enabled). */
+    ModelValidation synthetic;
 
     /** Paper-style multi-section text rendering. */
     void print(std::ostream &os) const;

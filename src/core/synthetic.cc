@@ -9,6 +9,7 @@
 
 #include "desim/desim.hh"
 #include "jsonscan.hh"
+#include "obs/obs.hh"
 
 namespace cchar::core {
 
@@ -98,9 +99,6 @@ namespace {
 
 /** Guard against hostile "[[[[..." documents blowing the stack. */
 constexpr int kMaxJsonDepth = 64;
-
-/** Largest mesh a loaded model may describe (fuzz OOM guard). */
-constexpr int kMaxModelNodes = 1 << 20;
 
 /** Per-source message-count ceiling (keeps arithmetic sane). */
 constexpr double kMaxSourceMessages = 1e15;
@@ -360,7 +358,7 @@ SyntheticModel::fromJson(const std::string &text)
         s.fail("mesh.width and mesh.height must be >= 1");
     // 64-bit product: MeshConfig::nodes() would overflow int on a
     // hostile board before the bound could reject it.
-    if (std::int64_t{model.mesh.width} * model.mesh.height > kMaxModelNodes)
+    if (std::int64_t{model.mesh.width} * model.mesh.height > mesh::kMaxNodes)
         s.fail("mesh describes more than 2^20 nodes");
     if (model.nprocs > model.mesh.nodes())
         s.fail("nprocs exceeds the mesh node count");
@@ -485,12 +483,13 @@ SyntheticModel::scaleTo(int target_procs,
     int nodes = mesh.nodes();
     int tiles = 1;
     if (target_procs > 0) {
-        if (target_procs % nodes != 0)
+        if (target_procs % nodes != 0 || target_procs > mesh::kMaxNodes)
             throw CCharError(
                 StatusCode::UsageError,
                 "synth: --scale-procs must be a positive multiple of "
                 "the model's " +
-                    std::to_string(nodes) + " nodes");
+                    std::to_string(nodes) + " nodes, at most " +
+                    std::to_string(mesh::kMaxNodes));
         tiles = target_procs / nodes;
     }
     // Near-square tile grid: the largest ty <= sqrt(tiles) dividing it.
@@ -791,23 +790,21 @@ computeSynthFidelity(const SyntheticModel &model,
     return sf;
 }
 
-ValidationResult
-validateModel(const CharacterizationReport &report, std::uint64_t seed,
-              int max_outstanding)
+ModelValidation
+validateReportModel(const CharacterizationReport &report,
+                    const SynthRunOptions &opts)
 {
+    obs::ScopedObservability detach{nullptr, nullptr, nullptr, nullptr,
+                                    nullptr};
     SyntheticModel model = SyntheticModel::fromReport(report);
-    SynthRunOptions opts;
-    opts.seed = seed;
-    opts.maxOutstanding = max_outstanding;
     DriveResult synth = SyntheticTrafficGenerator::run(model, opts);
-
-    ValidationResult v;
-    v.originalLatencyMean = report.network.latencyMean;
-    v.syntheticLatencyMean = synth.latencyMean;
-    v.originalContentionMean = report.network.contentionMean;
-    v.syntheticContentionMean = synth.contentionMean;
-    v.originalAvgUtilization = report.network.avgChannelUtilization;
-    v.syntheticAvgUtilization = synth.avgChannelUtilization;
+    ModelValidation v;
+    v.enabled = true;
+    v.network = synth.summary();
+    const double original = report.network.latencyMean;
+    if (original != 0.0)
+        v.latencyError = (synth.latencyMean - original) / original;
+    v.fidelity = computeSynthFidelity(model, synth.log);
     return v;
 }
 

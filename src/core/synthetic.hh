@@ -10,7 +10,7 @@
  * schedule. Models come from two places:
  *
  *  - fromReport: directly from an in-memory CharacterizationReport
- *    (the legacy `--synthetic` validation path);
+ *    (the `--synthetic` validation path, validateReportModel);
  *  - fromJson / fromJsonFile: from a characterization JSON document
  *    written by `cchar characterize --json` — the `cchar synth`
  *    replay path. The report JSON *is* the model format; there is no
@@ -124,7 +124,8 @@ struct SyntheticModel
      *        counts. 0 keeps the per-source counts of every clone
      *        (total grows with the tile count).
      * @throws CCharError(UsageError) when target_procs is not a
-     *         multiple of the model's node count.
+     *         multiple of the model's node count or exceeds
+     *         mesh::kMaxNodes.
      */
     SyntheticModel scaleTo(int target_procs,
                            std::size_t target_messages) const;
@@ -179,35 +180,14 @@ class SyntheticTrafficGenerator
 SynthesisFidelity computeSynthFidelity(const SyntheticModel &model,
                                        const trace::TrafficLog &log);
 
-/** Original-vs-synthetic comparison of network behaviour. */
-struct ValidationResult
-{
-    double originalLatencyMean = 0.0;
-    double syntheticLatencyMean = 0.0;
-    double originalContentionMean = 0.0;
-    double syntheticContentionMean = 0.0;
-    double originalAvgUtilization = 0.0;
-    double syntheticAvgUtilization = 0.0;
-
-    double
-    latencyError() const
-    {
-        return originalLatencyMean != 0.0
-                   ? (syntheticLatencyMean - originalLatencyMean) /
-                         originalLatencyMean
-                   : 0.0;
-    }
-};
-
 /**
- * Run the synthetic model derived from `report` and compare the
- * network behaviour with the original run recorded in `report`.
- *
- * @param max_outstanding see SynthRunOptions.
+ * Replay the model of `report` (fromReport) and compare it with the
+ * run the report describes. The replay is fault-free, since a report
+ * carries no injector, and runs with every ambient observability sink
+ * detached, whose contents describe the original run.
  */
-ValidationResult validateModel(const CharacterizationReport &report,
-                               std::uint64_t seed = 42,
-                               int max_outstanding = 0);
+ModelValidation validateReportModel(const CharacterizationReport &report,
+                                    const SynthRunOptions &opts = {});
 
 } // namespace cchar::core
 

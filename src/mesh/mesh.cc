@@ -35,8 +35,9 @@ MeshNetwork::~MeshNetwork()
 }
 
 MeshNetwork::MeshNetwork(desim::Simulator &sim, const MeshConfig &cfg,
-                         trace::TrafficLog *log)
-    : sim_(&sim), cfg_(cfg), log_(log), faults_(cfg.faults)
+                         trace::TrafficLog *log,
+                         fault::FaultInjector *faults)
+    : sim_(&sim), cfg_(cfg), log_(log), faults_(faults)
 {
     if (cfg_.width < 1 || cfg_.height < 1)
         throw std::invalid_argument("mesh: degenerate dimensions");

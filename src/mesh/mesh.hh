@@ -57,6 +57,12 @@ enum class ChannelHolding
     EarlyRelease,
 };
 
+/**
+ * Most nodes of any network. Every size that enters is checked against
+ * it in 64 bits, so MeshConfig::nodes() cannot overflow.
+ */
+constexpr int kMaxNodes = 1 << 20;
+
 /** Network topology. */
 enum class Topology
 {
@@ -81,13 +87,6 @@ struct MeshConfig
     Topology topology = Topology::Mesh;
     /** Virtual channels per physical channel (torus needs >= 2). */
     int virtualChannels = 1;
-    /**
-     * Fault-injection oracle consulted per packet and per hop
-     * (non-owning; must outlive the network). nullptr — the default —
-     * means a healthy network with bit-identical behaviour to a build
-     * without the fault layer.
-     */
-    fault::FaultInjector *faults = nullptr;
     /**
      * Fault-aware adaptive routing: when the planned route crosses a
      * link that is down at injection time, fall back to a deadlock-free
@@ -130,9 +129,13 @@ class MeshNetwork
      * @param sim  Simulation kernel the network lives on.
      * @param cfg  Topology and timing parameters.
      * @param log  Network activity log to append to (optional).
+     * @param faults  Fault oracle consulted per packet and per hop
+     *        (optional; must outlive the network). Without one the
+     *        network is bit-identical to a build without faults.
      */
     MeshNetwork(desim::Simulator &sim, const MeshConfig &cfg,
-                trace::TrafficLog *log = nullptr);
+                trace::TrafficLog *log = nullptr,
+                fault::FaultInjector *faults = nullptr);
 
     MeshNetwork(const MeshNetwork &) = delete;
     MeshNetwork &operator=(const MeshNetwork &) = delete;

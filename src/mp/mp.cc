@@ -8,14 +8,16 @@
 
 namespace cchar::mp {
 
-MpWorld::MpWorld(desim::Simulator &sim, const MpConfig &cfg)
+MpWorld::MpWorld(desim::Simulator &sim, const MpConfig &cfg,
+                 fault::FaultInjector *faults)
     : sim_(&sim), cfg_(cfg), log_(cfg.nranks()), trace_(cfg.nranks()),
-      faultMode_(cfg.mesh.faults != nullptr)
+      faults_(faults)
 {
-    net_ = std::make_unique<mesh::MeshNetwork>(*sim_, cfg_.mesh, &log_);
+    net_ = std::make_unique<mesh::MeshNetwork>(*sim_, cfg_.mesh, &log_,
+                                               faults_);
     ranks_.resize(static_cast<std::size_t>(cfg_.nranks()));
-    if (faultMode_) {
-        windowMode_ = cfg_.mesh.faults->plan().retry().window > 1;
+    if (faults_) {
+        windowMode_ = faults_->plan().retry().window > 1;
         rankRetransmits_.assign(
             static_cast<std::size_t>(cfg_.nranks()), 0);
         rankCorruptDiscards_.assign(
@@ -25,7 +27,7 @@ MpWorld::MpWorld(desim::Simulator &sim, const MpConfig &cfg)
         sendCtr_ = reg->counter("mp.sends");
         recvCtr_ = reg->counter("mp.recvs");
         bytesSentCtr_ = reg->counter("mp.bytes_sent");
-        if (faultMode_) {
+        if (faults_) {
             // Registered only in fault mode so a fault-free run's
             // metrics dump stays byte-identical.
             retransmitCtr_ = reg->counter("mp.retransmits");
@@ -54,7 +56,7 @@ MpWorld::dispatcher(int rank)
     for (;;) {
         mesh::Packet pkt = co_await queue.receive();
         auto msg = std::any_cast<MpMsg>(pkt.payload);
-        if (faultMode_) {
+        if (faults_) {
             if (pkt.corrupted) {
                 // Corrupted packets (data or ack) are discarded
                 // unacknowledged; the sender's timeout recovers.
@@ -205,7 +207,7 @@ MpWorld::transmitWindowed(int src, int dst, int bytes, int tag,
 {
     Connection &conn =
         connections_[std::make_pair(src, dst)];
-    const fault::RetryConfig &rc = cfg_.mesh.faults->plan().retry();
+    const fault::RetryConfig &rc = faults_->plan().retry();
     while (conn.flight.size() >= static_cast<std::size_t>(rc.window)) {
         // Window full: queue FIFO behind the oldest blocked sender so
         // admission order stays deterministic.
@@ -227,7 +229,7 @@ MpWorld::windowDelivery(int src, int dst, int bytes, int tag,
 {
     Connection &conn =
         connections_[std::make_pair(src, dst)];
-    const fault::RetryConfig &rc = cfg_.mesh.faults->plan().retry();
+    const fault::RetryConfig &rc = faults_->plan().retry();
     double timeout = rc.ackTimeoutUs;
     for (int attempt = 1;; ++attempt) {
         auto fit = conn.flight.find(seq);
@@ -290,7 +292,7 @@ desim::Task<void>
 MpWorld::transmitReliable(int src, int dst, int bytes, int tag,
                           trace::MessageKind kind, std::uint64_t flowId)
 {
-    const fault::RetryConfig &rc = cfg_.mesh.faults->plan().retry();
+    const fault::RetryConfig &rc = faults_->plan().retry();
     std::uint64_t seq = nextSeq_++;
     double timeout = rc.ackTimeoutUs;
     for (int attempt = 1;; ++attempt) {
@@ -396,7 +398,7 @@ MpWorld::run()
            << sim_->now() << " us; network: " << net_->busyLanes()
            << " lanes busy, " << net_->queuedAcquires()
            << " queued acquires";
-        if (faultMode_) {
+        if (faults_) {
             os << "; " << deliveryFailures_ << " delivery failures, "
                << retransmits_ << " retransmits";
         }
@@ -462,7 +464,7 @@ MpContext::sendInternal(int dst, int bytes, int tag,
         // background so consecutive sends pipeline.
         co_await world_->transmitWindowed(rank_, dst, bytes, tag, kind,
                                           flowId);
-    } else if (world_->faultMode_) {
+    } else if (world_->faults_) {
         // Reliable delivery: blocks until acked or the retry budget
         // is spent, so a lossy link slows the sender rather than
         // silently losing application messages.
@@ -534,13 +536,6 @@ MpContext::recv(int src, int tag)
 {
     int bytes = co_await recvInternal(src, tag);
     co_return bytes;
-}
-
-desim::Task<void>
-MpContext::sendrecv(int dst, int send_bytes, int src, int tag)
-{
-    co_await sendInternal(dst, send_bytes, tag, trace::MessageKind::Data);
-    (void)co_await recvInternal(src, tag);
 }
 
 desim::Task<void>

@@ -76,9 +76,12 @@ class MpContext;
 class MpWorld
 {
   public:
-    MpWorld(desim::Simulator &sim, const MpConfig &cfg);
-
-    explicit MpWorld(desim::Simulator &sim) : MpWorld(sim, MpConfig{}) {}
+    /**
+     * @param faults  Fault oracle of the network (see MeshNetwork);
+     *        when set, sends run the plan's retransmission protocol.
+     */
+    MpWorld(desim::Simulator &sim, const MpConfig &cfg,
+            fault::FaultInjector *faults = nullptr);
 
     MpWorld(const MpWorld &) = delete;
     MpWorld &operator=(const MpWorld &) = delete;
@@ -263,8 +266,8 @@ class MpWorld
     std::vector<desim::ProcessRef> appProcesses_;
     std::vector<int> appRanks_;
 
-    /** Retransmission protocol active (cfg.mesh.faults != nullptr). */
-    bool faultMode_ = false;
+    /** Fault oracle; the retransmission protocol runs iff it is set. */
+    fault::FaultInjector *faults_ = nullptr;
     /** Sliding-window protocol active (retry().window > 1). */
     bool windowMode_ = false;
     std::uint64_t nextSeq_ = 1;
@@ -317,10 +320,6 @@ class MpContext
      * @return the received byte count.
      */
     desim::Task<int> recv(int src, int tag = 0);
-
-    /** Combined exchange with one partner. */
-    desim::Task<void> sendrecv(int dst, int send_bytes, int src,
-                               int tag = 0);
 
     /** Dissemination barrier over all ranks. */
     desim::Task<void> barrier();

@@ -164,48 +164,32 @@ fillLinkStats(JobOutcome &out, const core::LinkWeatherSummary &lw)
     out.congestionOnsetLoad = lw.congestionOnsetLoad;
 }
 
-/**
- * Close the loop for one job: replay the fitted model through the
- * network and record how faithfully it reproduces the original run.
- * Runs fully unobserved — the synthetic mesh must not feed the job's
- * metrics registry or activity/link trackers, whose contents describe
- * the *application* run.
- */
+/** Close the loop for one job: how well its fitted model replays it. */
 void
 fillSynthetic(JobOutcome &out, const core::CharacterizationReport &report)
 {
-    obs::ScopedObservability detach{nullptr, nullptr, nullptr, nullptr,
-                                    nullptr};
-    core::SyntheticModel model = core::SyntheticModel::fromReport(report);
-    core::DriveResult synth = core::SyntheticTrafficGenerator::run(model);
-    core::SynthesisFidelity sf = core::computeSynthFidelity(model, synth.log);
-    out.synthLatencyErr =
-        report.network.latencyMean != 0.0
-            ? (synth.latencyMean - report.network.latencyMean) /
-                  report.network.latencyMean
-            : 0.0;
-    out.synthTemporalKs = sf.temporalKs;
-    out.synthSpatialKs = sf.spatialKs;
-    out.synthVolumeKs = sf.volumeKs;
+    const core::ModelValidation v = core::validateReportModel(report);
+    out.synthLatencyErr = v.latencyError;
+    out.synthTemporalKs = v.fidelity.temporalKs;
+    out.synthSpatialKs = v.fidelity.spatialKs;
+    out.synthVolumeKs = v.fidelity.volumeKs;
 }
 
 /**
- * Fault columns of a faulted job: retry tallies from the run's
- * resilience section, packet counts from the injector as it stands
- * after fillSynthetic, whose model replay runs on the job's mesh and
- * so under the job's faults.
+ * Fault columns of a faulted job, from the run's resilience section:
+ * the application run (and, for a message-passing app, its trace
+ * replay) only. The --synthetic model replay is fault-free.
  */
 void
-fillFaults(JobOutcome &out, const core::ResilienceSummary &rs,
-           const fault::FaultInjector &injector)
+fillFaults(JobOutcome &out, const core::ResilienceSummary &rs)
 {
-    out.droppedPackets = injector.drops();
-    out.corruptedPackets = injector.corrupts();
-    out.linkDrops = injector.linkDrops();
+    out.droppedPackets = rs.droppedPackets;
+    out.corruptedPackets = rs.corruptedPackets;
+    out.linkDrops = rs.linkDrops;
     out.retransmits = rs.retransmits;
     out.deliveryFailures = rs.deliveryFailures;
-    out.reroutedPackets = injector.reroutes();
-    out.rerouteExtraHops = injector.rerouteExtraHops();
+    out.reroutedPackets = rs.reroutedPackets;
+    out.rerouteExtraHops = rs.rerouteExtraHops;
 }
 
 mesh::MeshConfig
@@ -293,7 +277,7 @@ SweepEngine::runJob(const SweepJob &job, obs::MetricsRegistry &registry,
         if (job.linkStats)
             fillLinkStats(out, report.linkStats);
         if (injector)
-            fillFaults(out, report.resilience, *injector);
+            fillFaults(out, report.resilience);
     } catch (const core::CCharError &e) {
         out.status = core::toString(e.status().code());
         out.error = e.what();

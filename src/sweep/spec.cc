@@ -1,13 +1,16 @@
 #include "spec.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "apps/registry.hh"
 #include "core/jsonscan.hh"
 #include "core/status.hh"
 #include "fault/plan.hh"
+#include "mesh/mesh.hh"
 
 namespace cchar::sweep {
 
@@ -34,6 +37,18 @@ parseU64(const std::string &text)
     return static_cast<std::uint64_t>(v);
 }
 
+/** The next number of @p js, an integer in [lo, hi <= 2^53] or fail. */
+double
+readInteger(core::JsonScanner &js, const std::string &key, std::int64_t lo,
+            std::int64_t hi)
+{
+    const double v = js.readNumber();
+    if (!(v >= lo && v <= hi) || v != std::floor(v))
+        usageFail(key + " must be an integer in [" + std::to_string(lo) +
+                  ", " + std::to_string(hi) + "]");
+    return v;
+}
+
 } // namespace
 
 std::string
@@ -49,8 +64,9 @@ SweepJob::label() const
 void
 meshFactor(int n, int &width, int &height)
 {
-    if (n < 1)
-        usageFail("procs must be >= 1");
+    if (n < 1 || n > mesh::kMaxNodes)
+        usageFail("procs must be in [1, " + std::to_string(mesh::kMaxNodes) +
+                  "]");
     height = 1;
     for (int h = 1; h * h <= n; ++h) {
         if (n % h == 0)
@@ -162,7 +178,8 @@ SweepSpec::fromJson(const std::string &text)
             js.readArray([&] { spec.apps.push_back(js.readString()); });
         } else if (key == "procs") {
             js.readArray([&] {
-                spec.procs.push_back(static_cast<int>(js.readNumber()));
+                spec.procs.push_back(static_cast<int>(
+                    readInteger(js, key, 1, mesh::kMaxNodes)));
             });
         } else if (key == "loads") {
             if (!haveLoads) {
@@ -176,8 +193,8 @@ SweepSpec::fromJson(const std::string &text)
                 haveSeeds = true;
             }
             js.readArray([&] {
-                spec.seeds.push_back(
-                    static_cast<std::uint64_t>(js.readNumber()));
+                spec.seeds.push_back(static_cast<std::uint64_t>(
+                    readInteger(js, key, 0, std::int64_t{1} << 53)));
             });
         } else if (key == "fault_plans") {
             if (!havePlans) {
@@ -189,7 +206,8 @@ SweepSpec::fromJson(const std::string &text)
         } else if (key == "torus") {
             spec.torus = js.readBool();
         } else if (key == "vcs") {
-            spec.vcs = static_cast<int>(js.readNumber());
+            spec.vcs = static_cast<int>(readInteger(
+                js, key, 1, std::numeric_limits<int>::max()));
         } else if (key == "rank_activity") {
             spec.rankActivity = js.readBool();
         } else if (key == "link_stats") {

@@ -90,16 +90,6 @@ TrafficLog::latencies() const
     return ls;
 }
 
-std::vector<double>
-TrafficLog::contentions() const
-{
-    std::vector<double> cs;
-    cs.reserve(records_.size());
-    for (const auto &r : records_)
-        cs.push_back(r.contention);
-    return cs;
-}
-
 double
 TrafficLog::lastDeliverTime() const
 {

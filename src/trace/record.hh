@@ -92,9 +92,6 @@ class TrafficLog
     /** All end-to-end latencies. */
     std::vector<double> latencies() const;
 
-    /** All contention components. */
-    std::vector<double> contentions() const;
-
     /** Time of the last delivery (run makespan proxy). */
     double lastDeliverTime() const;
 

@@ -251,9 +251,9 @@ TEST(Synthetic, ValidationLatencyWithinFactorTwo)
     apps::Fft1D app{p};
     CharacterizationPipeline pipeline;
     auto report = pipeline.runDynamic(app, machine4x4());
-    auto v = validateModel(report, 11);
-    EXPECT_GT(v.syntheticLatencyMean, 0.0);
-    EXPECT_LT(std::abs(v.latencyError()), 1.0);
+    auto v = validateReportModel(report, {.seed = 11});
+    EXPECT_GT(v.network.latencyMean, 0.0);
+    EXPECT_LT(std::abs(v.latencyError), 1.0);
 }
 
 TEST(Synthetic, DeterministicGivenSeed)
@@ -430,9 +430,9 @@ TEST(SyntheticExtensions, ValidateModelPacedVariant)
     apps::Fft1D app{p};
     CharacterizationPipeline pipeline;
     auto report = pipeline.runDynamic(app, machine4x4());
-    auto v = validateModel(report, 3, 2);
-    EXPECT_GT(v.syntheticLatencyMean, 0.0);
-    EXPECT_LT(std::abs(v.latencyError()), 1.0);
+    auto v = validateReportModel(report, {.seed = 3, .maxOutstanding = 2});
+    EXPECT_GT(v.network.latencyMean, 0.0);
+    EXPECT_LT(std::abs(v.latencyError), 1.0);
 }
 
 } // namespace

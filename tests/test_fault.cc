@@ -354,12 +354,11 @@ TEST(FaultInjector, RouterStallAccumulates)
 // Faulted mesh behaviour
 
 mesh::MeshConfig
-meshCfg(FaultInjector *inj)
+meshCfg()
 {
     mesh::MeshConfig cfg;
     cfg.width = 4;
     cfg.height = 4;
-    cfg.faults = inj;
     return cfg;
 }
 
@@ -380,9 +379,9 @@ TEST(FaultedMesh, DownLinkTailDropsWorm)
     FaultInjector inj{plan};
     Simulator sim;
     trace::TrafficLog log;
-    auto cfg = meshCfg(&inj);
+    auto cfg = meshCfg();
     cfg.adaptiveRouting = false; // force the worm onto the dead link
-    mesh::MeshNetwork net{sim, cfg, &log};
+    mesh::MeshNetwork net{sim, cfg, &log, &inj};
     MessageRecord out;
     sim.spawn([](mesh::MeshNetwork &n, MessageRecord &o) -> Task<void> {
         o = co_await n.transfer(pkt(0, 3, 16));
@@ -400,7 +399,7 @@ TEST(FaultedMesh, DownLinkReroutesWhenAdaptive)
     FaultPlan plan = FaultPlan::parse("link:0->1:down");
     FaultInjector inj{plan};
     Simulator sim;
-    mesh::MeshNetwork net{sim, meshCfg(&inj)};
+    mesh::MeshNetwork net{sim, meshCfg(), nullptr, &inj};
     MessageRecord out;
     sim.spawn([](mesh::MeshNetwork &n, MessageRecord &o) -> Task<void> {
         o = co_await n.transfer(pkt(0, 3, 16));
@@ -421,7 +420,7 @@ TEST(FaultedMesh, RerouteKeepsMinimalHopsWhenPossible)
     FaultPlan plan = FaultPlan::parse("link:1->2:down");
     FaultInjector inj{plan};
     Simulator sim;
-    mesh::MeshNetwork net{sim, meshCfg(&inj)};
+    mesh::MeshNetwork net{sim, meshCfg(), nullptr, &inj};
     MessageRecord out;
     sim.spawn([](mesh::MeshNetwork &n, MessageRecord &o) -> Task<void> {
         o = co_await n.transfer(pkt(1, 2, 16));
@@ -438,11 +437,11 @@ TEST(FaultedMesh, TorusReroutesAlongLongerArc)
     // the worm takes the three-hop westward arc 0->3->2->1 instead.
     FaultPlan plan = FaultPlan::parse("link:0->1:down");
     FaultInjector inj{plan};
-    auto cfg = meshCfg(&inj);
+    auto cfg = meshCfg();
     cfg.topology = mesh::Topology::Torus;
     cfg.virtualChannels = 2;
     Simulator sim;
-    mesh::MeshNetwork net{sim, cfg};
+    mesh::MeshNetwork net{sim, cfg, nullptr, &inj};
     MessageRecord out;
     sim.spawn([](mesh::MeshNetwork &n, MessageRecord &o) -> Task<void> {
         o = co_await n.transfer(pkt(0, 1, 16));
@@ -460,7 +459,7 @@ TEST(FaultedMesh, UnreachableDownWestLinkFallsThrough)
     FaultPlan plan = FaultPlan::parse("link:1->0:down");
     FaultInjector inj{plan};
     Simulator sim;
-    mesh::MeshNetwork net{sim, meshCfg(&inj)};
+    mesh::MeshNetwork net{sim, meshCfg(), nullptr, &inj};
     MessageRecord out;
     sim.spawn([](mesh::MeshNetwork &n, MessageRecord &o) -> Task<void> {
         o = co_await n.transfer(pkt(1, 0, 16));
@@ -476,7 +475,7 @@ TEST(FaultedMesh, ReverseDirectionUnaffected)
     FaultPlan plan = FaultPlan::parse("link:0->1:down");
     FaultInjector inj{plan};
     Simulator sim;
-    mesh::MeshNetwork net{sim, meshCfg(&inj)};
+    mesh::MeshNetwork net{sim, meshCfg(), nullptr, &inj};
     MessageRecord out;
     sim.spawn([](mesh::MeshNetwork &n, MessageRecord &o) -> Task<void> {
         o = co_await n.transfer(pkt(1, 0, 16));
@@ -491,7 +490,7 @@ TEST(FaultedMesh, CertainDropLosesEveryPacket)
     FaultPlan plan = FaultPlan::parse("drop:p=1");
     FaultInjector inj{plan};
     Simulator sim;
-    mesh::MeshNetwork net{sim, meshCfg(&inj)};
+    mesh::MeshNetwork net{sim, meshCfg(), nullptr, &inj};
     std::vector<MessageRecord> recs;
     auto sender = [](mesh::MeshNetwork &n, int src, int dst,
                      std::vector<MessageRecord> &out) -> Task<void> {
@@ -512,7 +511,7 @@ TEST(FaultedMesh, CertainCorruptionDeliversTainted)
     FaultInjector inj{plan};
     Simulator sim;
     trace::TrafficLog log;
-    mesh::MeshNetwork net{sim, meshCfg(&inj), &log};
+    mesh::MeshNetwork net{sim, meshCfg(), &log, &inj};
     MessageRecord out;
     sim.spawn([](mesh::MeshNetwork &n, MessageRecord &o) -> Task<void> {
         o = co_await n.transfer(pkt(0, 5, 32));
@@ -527,8 +526,7 @@ TEST(FaultedMesh, CertainCorruptionDeliversTainted)
 TEST(FaultedMesh, RouterStallAddsLatency)
 {
     Simulator simA;
-    mesh::MeshConfig plain = meshCfg(nullptr);
-    mesh::MeshNetwork netA{simA, plain};
+    mesh::MeshNetwork netA{simA, meshCfg()};
     MessageRecord base;
     simA.spawn(
         [](mesh::MeshNetwork &n, MessageRecord &o) -> Task<void> {
@@ -539,7 +537,7 @@ TEST(FaultedMesh, RouterStallAddsLatency)
     FaultPlan plan = FaultPlan::parse("router:0:stall=5");
     FaultInjector inj{plan};
     Simulator simB;
-    mesh::MeshNetwork netB{simB, meshCfg(&inj)};
+    mesh::MeshNetwork netB{simB, meshCfg(), nullptr, &inj};
     MessageRecord slow;
     simB.spawn(
         [](mesh::MeshNetwork &n, MessageRecord &o) -> Task<void> {
@@ -557,8 +555,8 @@ TEST(FaultedMesh, NoPlanMatchesFaultFreeTiming)
     FaultPlan empty;
     FaultInjector inj{empty};
     Simulator simA, simB;
-    mesh::MeshNetwork netA{simA, meshCfg(nullptr)};
-    mesh::MeshNetwork netB{simB, meshCfg(&inj)};
+    mesh::MeshNetwork netA{simA, meshCfg()};
+    mesh::MeshNetwork netB{simB, meshCfg(), nullptr, &inj};
     MessageRecord a, b;
     simA.spawn(
         [](mesh::MeshNetwork &n, MessageRecord &o) -> Task<void> {
@@ -589,8 +587,7 @@ TEST(MpRetransmit, RecoversFromLossyLink)
     mp::MpConfig cfg;
     cfg.mesh.width = 2;
     cfg.mesh.height = 2;
-    cfg.mesh.faults = &inj;
-    mp::MpWorld world{sim, cfg};
+    mp::MpWorld world{sim, cfg, &inj};
     std::vector<int> got;
     world.spawnRank(0, [](mp::MpWorld &w) -> Task<void> {
         mp::MpContext ctx{w, 0};
@@ -620,9 +617,8 @@ TEST(MpRetransmit, BoundedRetriesGiveUpOnDeadLink)
     mp::MpConfig cfg;
     cfg.mesh.width = 2;
     cfg.mesh.height = 2;
-    cfg.mesh.faults = &inj;
     cfg.mesh.adaptiveRouting = false; // no detour: exhaust the budget
-    mp::MpWorld world{sim, cfg};
+    mp::MpWorld world{sim, cfg, &inj};
     world.spawnRank(0, [](mp::MpWorld &w) -> Task<void> {
         mp::MpContext ctx{w, 0};
         co_await ctx.send(1, 64);
@@ -645,8 +641,7 @@ TEST(MpRetransmit, RerouteDeliversOverDeadLink)
     mp::MpConfig cfg;
     cfg.mesh.width = 2;
     cfg.mesh.height = 2;
-    cfg.mesh.faults = &inj;
-    mp::MpWorld world{sim, cfg};
+    mp::MpWorld world{sim, cfg, &inj};
     int got = 0;
     world.spawnRank(0, [](mp::MpWorld &w) -> Task<void> {
         mp::MpContext ctx{w, 0};
@@ -775,8 +770,7 @@ runWindowSession(const std::string &planSpec, int messages,
     mp::MpConfig cfg;
     cfg.mesh.width = 2;
     cfg.mesh.height = 2;
-    cfg.mesh.faults = &inj;
-    mp::MpWorld world{sim, cfg};
+    mp::MpWorld world{sim, cfg, &inj};
     world.spawnRank(0, [](mp::MpWorld &w, int n) -> Task<void> {
         mp::MpContext ctx{w, 0};
         for (int i = 0; i < n; ++i)
@@ -848,8 +842,7 @@ TEST(MpWindow, CertainDropFailsDeliveriesWithoutTrippingWatchdog)
     mp::MpConfig cfg;
     cfg.mesh.width = 2;
     cfg.mesh.height = 2;
-    cfg.mesh.faults = &inj;
-    mp::MpWorld world{sim, cfg};
+    mp::MpWorld world{sim, cfg, &inj};
     // Check horizon (600us) comfortably above the bounded drain
     // (~220us with this budget), mirroring the drivers' much larger
     // 40ms default: resolved failures count as probe progress.
@@ -893,8 +886,7 @@ TEST(MpWindow, UnboundedNoDeliveryLoopStillTripsWatchdog)
     mp::MpConfig cfg;
     cfg.mesh.width = 2;
     cfg.mesh.height = 2;
-    cfg.mesh.faults = &inj;
-    mp::MpWorld world{sim, cfg};
+    mp::MpWorld world{sim, cfg, &inj};
     desim::Watchdog dog{sim, {.checkPeriodUs = 50.0, .stallChecks = 3}};
     dog.setProgressProbe([&world] {
         return world.network().messageCount() + world.deliveryFailures();
@@ -922,8 +914,7 @@ TEST(MpWindow, PerRankCountersAttributeRecoveryWork)
     mp::MpConfig cfg;
     cfg.mesh.width = 2;
     cfg.mesh.height = 2;
-    cfg.mesh.faults = &inj;
-    mp::MpWorld world{sim, cfg};
+    mp::MpWorld world{sim, cfg, &inj};
     std::vector<int> got;
     world.spawnRank(0, [](mp::MpWorld &w) -> Task<void> {
         mp::MpContext ctx{w, 0};

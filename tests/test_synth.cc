@@ -277,18 +277,53 @@ TEST(SynthGating, FidelitySectionAppearsWhenEnabled)
 }
 
 // --------------------------------------------------------------------
-// The legacy --synthetic validation path rides on the same generator
+// The --synthetic validation path rides on the same generator
 
 TEST(SynthLegacy, ValidateModelMatchesDirectGeneration)
 {
     CharacterizationReport report = characterizeApp("is");
-    core::ValidationResult v = core::validateModel(report);
+    core::ModelValidation v = core::validateReportModel(report);
 
     SyntheticModel model = SyntheticModel::fromReport(report);
     core::DriveResult direct =
         SyntheticTrafficGenerator::run(model, SynthRunOptions{});
-    EXPECT_DOUBLE_EQ(v.syntheticLatencyMean, direct.latencyMean);
-    EXPECT_DOUBLE_EQ(v.originalLatencyMean, report.network.latencyMean);
+    EXPECT_TRUE(v.enabled);
+    EXPECT_DOUBLE_EQ(v.network.latencyMean, direct.latencyMean);
+    EXPECT_DOUBLE_EQ(v.latencyError,
+                     (direct.latencyMean - report.network.latencyMean) /
+                         report.network.latencyMean);
+    EXPECT_DOUBLE_EQ(v.fidelity.maxKs(),
+                     core::computeSynthFidelity(model, direct.log).maxKs());
+}
+
+// A report is a plain value: the model replay of a faulted run neither
+// draws from that run's injector nor needs it to outlive the run.
+TEST(SynthLegacy, FaultedReportReplaysFaultFree)
+{
+    CharacterizationReport report;
+    {
+        fault::FaultInjector injector{
+            fault::FaultPlan::parse("seed=3; drop:p=0.05")};
+        std::unique_ptr<apps::MessagePassingApp> app =
+            apps::makeMessagePassingApp("mg");
+        core::RunSpec spec;
+        spec.messagePassingApp = app.get();
+        spec.application = "mg";
+        spec.faults = &injector;
+        report = core::runCharacterization(spec, {}).report;
+        const std::uint64_t drops = injector.drops();
+        ASSERT_GT(drops, 0u);
+        SyntheticModel model = SyntheticModel::fromReport(report);
+        (void)SyntheticTrafficGenerator::run(model);
+        EXPECT_EQ(injector.drops(), drops);
+        (void)core::validateReportModel(report);
+        EXPECT_EQ(injector.drops(), drops);
+    }
+    SyntheticModel model = SyntheticModel::fromReport(report);
+    core::DriveResult direct = SyntheticTrafficGenerator::run(model);
+    core::ModelValidation v = core::validateReportModel(report);
+    EXPECT_EQ(direct.log.size(), model.totalMessages());
+    EXPECT_DOUBLE_EQ(v.network.latencyMean, direct.latencyMean);
 }
 
 } // namespace

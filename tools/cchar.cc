@@ -76,8 +76,8 @@ enum Command : unsigned
     Synth = 1 << 4,
     Sweep = 1 << 5,
     Chaos = 1 << 6,
-    /** The subcommands that run one application or trace. */
-    Run = Characterize | Report | Replay | Trace,
+    /** The subcommands that run and report one application or trace. */
+    Run = Characterize | Report | Replay,
 };
 
 /** Every flag value of one invocation; each subcommand reads its own. */
@@ -448,13 +448,13 @@ flagTable(Options &o)
     sweep::JobPolicy &policy = o.sweepRun.policy;
     return {
         // Network shape.
-        number("--width", Run, o.width, ">= 1"),
-        number("--height", Run, o.height, ">= 1"),
-        toggle("--torus", Run | Sweep | Chaos, o.torus),
-        number("--vcs", Run | Sweep | Chaos, o.vcs, ">= 1"),
+        number("--width", Run | Trace, o.width, ">= 1"),
+        number("--height", Run | Trace, o.height, ">= 1"),
+        toggle("--torus", Run | Trace | Sweep | Chaos, o.torus),
+        number("--vcs", Run | Trace | Sweep | Chaos, o.vcs, ">= 1"),
         // Output and sinks.
         toggle("--json", Run | Synth | Chaos, o.json),
-        text("--out", Run | Synth | Sweep | Chaos, o.out),
+        text("--out", Report | Trace | Synth | Sweep | Chaos, o.out),
         toggle("--phases", Run | Synth, o.phases),
         text("--report-out", Run | Synth, o.reportOut),
         text("--metrics-out", Run | Synth, o.metricsOut),
@@ -475,7 +475,7 @@ flagTable(Options &o)
                  throw badValue(arg);
              o.faultPlan = arg.value;
          }},
-        toggle("--no-reroute", Run, o.reroute, false),
+        toggle("--no-reroute", Run | Trace, o.reroute, false),
         number("--seed", Run | Synth | Chaos, o.seed),
         {"--trace-errors", Run, true,
          [&o](const Arg &arg) {
@@ -577,6 +577,9 @@ parseOptions(const Subcommand &sub, int argc, char **argv)
         }
         flag->apply({cmd, name, value});
     }
+    if (std::int64_t{o.width} * o.height > mesh::kMaxNodes)
+        throw usageError(cmd, "--width x --height must be <= " +
+                                  std::to_string(mesh::kMaxNodes));
     return o;
 }
 
@@ -707,29 +710,30 @@ emitRun(const Options &opts, ObsSession &obsSession,
                       << " delivery failures\n";
         }
     }
-    // Of these subcommands only synth writes its report to --out.
-    writeOut(opts.command == Command::Synth ? opts.out : "", "synth",
-             [&](std::ostream &os) {
-                 if (opts.json)
-                     report.writeJson(os);
-                 else
-                     report.print(os);
-             });
+    writeOut(opts.out, "synth", [&](std::ostream &os) {
+        if (opts.json)
+            report.writeJson(os);
+        else
+            report.print(os);
+    });
     // A replayed trace has no application to verify.
     if (!report.verified && opts.command != Command::Replay) {
         std::cerr << "WARNING: application verification FAILED\n";
         return 1;
     }
-    // The text phase profile would trail the JSON document and break
-    // `python3 -m json.tool` style consumers, so it is text-mode only.
-    if (opts.windows > 0 && !opts.json)
+    // The text extras would trail the JSON document and break
+    // `python3 -m json.tool` style consumers, so they are text-mode
+    // only; the JSON carries the model validation as its own key.
+    if (opts.json)
+        return 0;
+    if (opts.windows > 0)
         printWindows(run.drive.log, opts.windows);
-    if (opts.synthetic) {
-        auto v = core::validateModel(report);
+    if (report.synthetic.enabled) {
         std::cout << "\n-- Synthetic model validation --\n"
-                  << "  latency original " << v.originalLatencyMean
-                  << "us, synthetic " << v.syntheticLatencyMean
-                  << "us (" << v.latencyError() * 100.0 << "%)\n";
+                  << "  latency original " << report.network.latencyMean
+                  << "us, synthetic " << report.synthetic.network.latencyMean
+                  << "us (" << report.synthetic.latencyError * 100.0
+                  << "%)\n";
     }
     return 0;
 }
@@ -783,9 +787,12 @@ cmdRun(const Options &opts)
             };
         }
     }
-    return emitRun(opts, obsSession,
-                   core::runCharacterization(
-                       spec, pipelineOptions(opts, obsSession)));
+    core::RunResult run =
+        core::runCharacterization(spec, pipelineOptions(opts, obsSession));
+    // The HTML of `report` has no validation section to fill.
+    if (opts.synthetic && opts.command != Command::Report)
+        run.report.synthetic = core::validateReportModel(run.report);
+    return emitRun(opts, obsSession, run);
 }
 
 int

@@ -3,7 +3,8 @@
 # one table and one loop (tools/cchar.cc), so each must reject the same
 # mistakes the same way: an unknown flag, a value flag given no value
 # and a value out of range are usage errors (exit 2) whose message
-# names the flag. For sweep and chaos, "-j8", "-j 8" and "--jobs 8"
+# names the flag, and a flag the subcommand would ignore is unknown
+# to it. For sweep and chaos, "-j8", "-j 8" and "--jobs 8"
 # are one flag and give byte-identical output.
 #
 # Usage: flags.sh <cchar-binary> <workdir>
@@ -51,6 +52,21 @@ expect_usage "--windows must be >= 0" characterize 1d-fft --windows -1
 expect_usage "--vcs must be >= 1" sweep --apps is --procs 4 --vcs 0
 expect_usage "-j must be >= 1" chaos --plans 1 -j0
 expect_usage "--jobs must be >= 1" sweep --apps is --procs 4 --jobs 0
+
+# A flag a subcommand would ignore is rejected by name: trace takes
+# only the mesh flags, --no-reroute and --out, and characterize and
+# replay print their report on stdout, so they take no --out.
+for flag in --json --phases --report-out --metrics-out --rank-activity \
+    --link-stats --top-links --progress --windows --synthetic \
+    --trace-out --sample-period --fault-plan --seed --trace-errors \
+    --strict --lenient --watchdog-period --watchdog-stalls \
+    --max-sim-time; do
+    expect_usage "trace: unknown option: $flag" \
+        trace mg --out ignored.trace "$flag" 1
+done
+expect_usage "characterize: unknown option: --out" \
+    characterize is --out ignored.txt --json
+expect_usage "replay: unknown option: --out" replay mg.trace --out ignored.txt
 
 # The three spellings of the worker count.
 SWEEP="--apps is --procs 4 --loads 0.1,0.2 --seeds 1..2"

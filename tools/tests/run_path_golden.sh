@@ -110,14 +110,14 @@ synth_sinks fea5ece35363bb6a025fbc7e148f5712536bf96edbd56cd3b740dd9ed721cf8e
 synth_sinks.rc 0
 sweep e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 sweep.rc 1
-sweep.json c2019f3d20e2086c860e8fa245c8281f65bcb3d447e50edd723631f17df6d6d0
-sweep.csv 9321fa128fffb407d109704a68de38213a70bcacfb71cd4218cc9eb220905313
-sweep.jsonl 0b3485190d0ed7ba20139125ae2fe10a2fb7e091f2c013a444196f057792977a
+sweep.json 62187086e1dcd6a103a50b9dc22784ecf9fc2f1bb00f9ddfc6a73c7498841eb6
+sweep.csv 49d306d67d8028d0f96ffdd6e9d5e4752ba264cc5ecdebc8de03ddc7c28e1fc6
+sweep.jsonl 8df66e171194b6971a599d1e5062767694d711f757b4e3d8497bd647979f0eda
 resume e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 resume.rc 1
-resume.json c2019f3d20e2086c860e8fa245c8281f65bcb3d447e50edd723631f17df6d6d0
-resume.csv 9321fa128fffb407d109704a68de38213a70bcacfb71cd4218cc9eb220905313
-resume.jsonl 0b3485190d0ed7ba20139125ae2fe10a2fb7e091f2c013a444196f057792977a
+resume.json 62187086e1dcd6a103a50b9dc22784ecf9fc2f1bb00f9ddfc6a73c7498841eb6
+resume.csv 49d306d67d8028d0f96ffdd6e9d5e4752ba264cc5ecdebc8de03ddc7c28e1fc6
+resume.jsonl 8df66e171194b6971a599d1e5062767694d711f757b4e3d8497bd647979f0eda
 EOF
 
 if ! diff expected.txt observed.txt; then

@@ -13,6 +13,9 @@
 #                     require the uninterrupted run's bytes
 #   worker_smoke      a mixed matrix on 4 workers
 #   j1_j8_identity    worker scheduling never leaks into the report
+#   synthetic_faults  --synthetic leaves a faulted job's fault columns
+#                     as they are without it: the model replay is
+#                     fault-free
 set -eu
 B=$1
 rm -rf "$2"
@@ -72,6 +75,22 @@ j1_j8_identity)
     done
     cmp sweep-j1.json sweep-j8.json
     cmp sweep-j1.csv sweep-j8.csv
+    ;;
+synthetic_faults)
+    "$B" sweep --apps mg --procs 16 --fault-plan drop:p=0.01 \
+        --csv plain.csv > /dev/null 2>&1
+    "$B" sweep --apps mg --procs 16 --fault-plan drop:p=0.01 --synthetic \
+        --csv synthetic.csv > /dev/null 2>&1
+    python3 - <<'EOF'
+import csv
+plain, synth = (next(csv.DictReader(open(f + '.csv')))
+                for f in ('plain', 'synthetic'))
+assert int(plain['dropped_packets']) > 0, plain
+for col in ('dropped_packets', 'corrupted_packets', 'link_drops',
+            'rerouted_packets'):
+    assert plain[col] == synth[col], (col, plain[col], synth[col])
+assert float(synth['synth_temporal_ks']) > 0, synth
+EOF
     ;;
 *)
     echo "sweep.sh: unknown case '$3'" >&2

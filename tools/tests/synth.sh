@@ -9,6 +9,9 @@
 #   scaled_1m           64 procs / 1M messages, byte-identical across
 #                       two runs
 #   bad_nprocs          a model with nprocs 0 exits 3 and names nprocs
+#   synthetic_json      `characterize --synthetic --json` is one JSON
+#                       document with the validation under "synthetic",
+#                       and it still loads as a synth model
 set -eu
 B=$1
 rm -rf "$2"
@@ -63,6 +66,17 @@ bad_nprocs)
     "$B" synth bad.json 2>err.txt || code=$?
     test "$code" -eq 3 || { echo "expected exit 3, got $code"; exit 1; }
     grep -q 'nprocs' err.txt
+    ;;
+synthetic_json)
+    "$B" characterize is --synthetic --json 2>/dev/null > validated.json
+    python3 - <<'EOF'
+import json
+v = json.load(open('validated.json'))['synthetic']
+assert abs(v['latencyError'] - 0.433) < 0.001, v
+assert v['latencyMean'] > 0 and 0 < v['temporalKs'] < 1, v
+assert 'synthetic' not in json.load(open('model.json'))
+EOF
+    "$B" synth validated.json > /dev/null 2>&1
     ;;
 *)
     echo "synth.sh: unknown case '$3'" >&2
