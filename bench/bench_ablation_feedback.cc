@@ -95,9 +95,9 @@ main()
         // Replays of the identical traffic.
         trace::Trace t = logToTrace(machine.log());
         auto blocking = core::TraceReplayer::replay(
-            t, standardMachine().mesh, {.blocking = true});
-        auto open = core::TraceReplayer::replay(t, standardMachine().mesh,
-                                                {.blocking = false});
+            t, standardMachine().mesh, {.pacing = core::Pacing::Blocking});
+        auto open = core::TraceReplayer::replay(
+            t, standardMachine().mesh, {.pacing = core::Pacing::Open});
 
         std::cout << std::left << std::setw(10) << name << std::right
                   << std::fixed << std::setprecision(4) << std::setw(12)

@@ -12,9 +12,10 @@ Machine::Machine(desim::Simulator &sim, const MachineConfig &cfg,
                  fault::FaultInjector *faults)
     : sim_(&sim), cfg_(cfg), log_(cfg.nprocs())
 {
-    if (cfg_.nprocs() > 64)
-        throw std::invalid_argument("ccnuma: at most 64 processors "
-                                    "(full-map bitmap)");
+    if (cfg_.nprocs() > kMaxProcessors)
+        throw std::invalid_argument(
+            "ccnuma: at most " + std::to_string(kMaxProcessors) +
+            " processors (full-map bitmap)");
     if (cfg_.cache.lineBytes <= 0 ||
         (cfg_.cache.lineBytes & (cfg_.cache.lineBytes - 1)) != 0) {
         throw std::invalid_argument("ccnuma: line size must be a power "

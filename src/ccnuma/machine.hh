@@ -29,6 +29,9 @@
 
 namespace cchar::ccnuma {
 
+/** Processor limit of the full-map directory's sharer bitmap. */
+constexpr int kMaxProcessors = 64;
+
 /** Home-node placement policy of a shared region. */
 enum class Placement
 {

@@ -22,10 +22,8 @@ averageHops(const trace::TrafficLog &log)
 /**
  * Execute `app` on `world` (a ccnuma::Machine or an mp::MpWorld) with
  * the caller's hook attached and, when given, the telemetry sampler.
- * The watchdog is armed iff the run has a fault injector or a cancel
- * flag. With faults, `progress` measures the run's progress; with only
- * a cancel flag the probe is the committed-event count, which advances
- * on every tick, so only cancellation can trip.
+ * The watchdog follows armRunWatchdog; with faults, `progress`
+ * measures the run's progress.
  */
 template <typename World, typename App>
 void
@@ -34,37 +32,14 @@ execute(desim::Simulator &sim, World &world, App &app, const RunSpec &spec,
         std::function<std::uint64_t()> progress)
 {
     desim::Watchdog watchdog{sim, spec.watchdog};
-    if (spec.faults) {
-        watchdog.setProgressProbe(std::move(progress));
-        watchdog.arm();
-    } else if (spec.watchdog.cancelFlag) {
-        watchdog.setProgressProbe([&sim] { return sim.processedEvents(); });
-        watchdog.arm();
-    }
+    armRunWatchdog(watchdog, sim, spec.watchdog, spec.faults != nullptr,
+                   std::move(progress));
     if (sampler && samplePeriodUs > 0.0)
         attachNetworkTelemetry(sim, world.network(), *sampler, samplePeriodUs);
     if (spec.onAppSimulator)
         spec.onAppSimulator(sim);
     apps::launch(world, app);
     world.run();
-}
-
-/** Replay `trace` into `mesh` under the run's faults and watchdog. */
-DriveResult
-replayTrace(const trace::Trace &trace, const mesh::MeshConfig &mesh,
-            const RunSpec &spec, const PipelineOptions &opts)
-{
-    ReplayOptions ropts;
-    ropts.sampler = opts.sampler;
-    ropts.samplePeriodUs = opts.samplePeriodUs;
-    ropts.faults = spec.faults;
-    ropts.enableWatchdog = spec.faults || spec.watchdog.cancelFlag;
-    ropts.watchdog = spec.watchdog;
-    // Without faults the delivered-message probe can stall legitimately
-    // (bursty delivery), so only the cancel flag may trip.
-    if (!spec.faults)
-        ropts.watchdog.stallChecks = 1 << 30;
-    return TraceReplayer::replay(trace, mesh, ropts);
 }
 
 /** Fill the report's Resilience section from the run's fault state. */
@@ -173,6 +148,10 @@ runCharacterization(const RunSpec &spec, const PipelineOptions &opts)
     RunResult run;
     CharacterizationReport &report = run.report;
     DriveResult &drive = run.drive;
+    const ReplayOptions replay{.sampler = opts.sampler,
+                               .samplePeriodUs = opts.samplePeriodUs,
+                               .faults = spec.faults,
+                               .watchdog = spec.watchdog};
 
     // The analysis every source shares. It runs while the simulation
     // that fed the (already finished) trackers is still alive.
@@ -240,7 +219,7 @@ runCharacterization(const RunSpec &spec, const PipelineOptions &opts)
                 links};
             if (links)
                 links->reset();
-            drive = replayTrace(collected, spec.mp.mesh, spec, opts);
+            drive = TraceReplayer::replay(collected, spec.mp.mesh, replay);
         }
         if (links)
             links->finish(drive.makespan);
@@ -259,7 +238,7 @@ runCharacterization(const RunSpec &spec, const PipelineOptions &opts)
         // A replay has no application threads, so the rank tracker
         // only holds in-network comm spans: a per-rank traffic
         // timeline with no blocked intervals or skew.
-        drive = replayTrace(*spec.trace, spec.mp.mesh, spec, opts);
+        drive = TraceReplayer::replay(*spec.trace, spec.mp.mesh, replay);
         finishTrackers(drive.makespan);
         characterize(spec.mp.mesh, Strategy::Static);
         const std::uint64_t skipped = spec.trace->skippedRecords();
@@ -273,7 +252,8 @@ runCharacterization(const RunSpec &spec, const PipelineOptions &opts)
             report.resilience.traceRecordsSkipped = skipped;
         }
     } else if (spec.model) {
-        drive = SyntheticTrafficGenerator::run(*spec.model, spec.synth);
+        drive = SyntheticTrafficGenerator::run(*spec.model, spec.synth,
+                                               spec.watchdog);
         finishTrackers(drive.makespan);
         characterize(spec.model->mesh, Strategy::Static);
         report.verified = true; // a model replay has no app invariant

@@ -91,9 +91,10 @@ struct RunSpec
      */
     fault::FaultInjector *faults = nullptr;
     /**
-     * No-progress watchdog of the application run and the replay,
-     * armed iff `faults` or watchdog.cancelFlag is set. Without faults
-     * only the cancel flag can trip it.
+     * No-progress watchdog of the application run, the replay and the
+     * model run, armed by the rule of armRunWatchdog: iff `faults` or
+     * watchdog.cancelFlag is set. Without faults only the cancel flag
+     * (or the sim-time horizon) can trip it.
      */
     desim::WatchdogConfig watchdog{};
     /** Called with the application's simulator before launch. */

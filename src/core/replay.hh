@@ -1,6 +1,8 @@
 /**
  * @file
- * Trace replay into the 2-D mesh — the paper's static strategy.
+ * Driving the 2-D mesh from message sources: the paper's static
+ * strategy, and its end goal of driving the same network from the
+ * fitted distributions.
  *
  * "These traces are then fed intelligently to our network simulator to
  * avoid the traditional pitfalls of trace-driven simulation. Since the
@@ -8,14 +10,19 @@
  * same as the order of execution on any machine, the event generator
  * does not have to be informed or stalled."
  *
- * One replay process per source preserves each source's event order
- * and re-applies the recorded compute gap ("time since the last
- * network activity at the source") between its messages, while the
- * network itself determines delivery times and contention.
+ * driveMesh is the one loop: one send process per source keeps that
+ * source's message order and charges each message's gap before
+ * injecting it, while the network determines delivery times and
+ * contention. A source is a trace cursor (TraceReplayer::replay) or a
+ * model sampler (SyntheticTrafficGenerator::run).
  */
 
 #ifndef CCHAR_CORE_REPLAY_HH
 #define CCHAR_CORE_REPLAY_HH
+
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "desim/desim.hh"
 #include "fault/injector.hh"
@@ -61,47 +68,81 @@ struct DriveResult
     NetworkSummary summary() const;
 };
 
-/** Knobs of TraceReplayer::replay. */
-struct ReplayOptions
+/** One message a source yields: the gap before it, then the packet. */
+struct SourceMessage
 {
-    /**
-     * If true (default), a source waits for each of its messages to
-     * drain before its next compute gap — preserving per-source
-     * dependences. If false, messages are injected open-loop (the
-     * ablation mode; faulted outcomes cannot be retried open-loop).
-     */
-    bool blocking = true;
-    /** Optional windowed telemetry sampler (see replay()). */
+    double gap = 0.0;
+    mesh::Packet packet;
+};
+
+/** The lazy message stream of one source node. */
+struct TrafficSource
+{
+    /** Name of its send process (a proc lane of a Chrome trace). */
+    std::string process;
+    /** Write the next message at sim time `now`; false when exhausted. */
+    std::function<bool(desim::SimTime now, SourceMessage &msg)> next;
+};
+
+/** How a source's messages enter the network. */
+enum class Pacing
+{
+    /** Post each message and go on (open loop). */
+    Open,
+    /** Wait for each message to drain before the next gap. */
+    Blocking,
+    /** Keep at most DriveOptions::window messages in flight. */
+    Window,
+};
+
+/** Knobs of driveMesh. */
+struct DriveOptions
+{
+    Pacing pacing = Pacing::Blocking;
+    int window = 1;
+    /** Windowed telemetry sampler (see attachNetworkTelemetry). */
     obs::WindowedSampler *sampler = nullptr;
     double samplePeriodUs = 0.0;
     /**
-     * Fault oracle wired into the replay mesh (non-owning; may be
-     * null). When set and blocking, a source retries a message whose
-     * transfer reports a drop or corruption, with the plan's retry
-     * backoff, until delivered intact or the attempt budget is spent.
+     * Fault oracle of the mesh (non-owning; may be null). Under
+     * Pacing::Blocking a source retries a dropped or corrupted message
+     * with the plan's backoff until it lands or its budget is spent.
      */
     fault::FaultInjector *faults = nullptr;
-    /**
-     * Arm a no-progress watchdog on the replay simulation (probe:
-     * delivered-message count). WatchdogError propagates out of
-     * replay(). Pair with an unbounded retry budget.
-     */
-    bool enableWatchdog = false;
+    /** Armed by the rule of armRunWatchdog; WatchdogError propagates. */
     desim::WatchdogConfig watchdog{};
 };
+
+/** TraceReplayer::replay takes driveMesh's knobs. */
+using ReplayOptions = DriveOptions;
+
+/** Drive a fresh mesh: a sink per node, then a sender per source. */
+DriveResult driveMesh(const mesh::MeshConfig &mesh,
+                      std::vector<TrafficSource> sources,
+                      const DriveOptions &opts);
+
+/**
+ * The one watchdog rule of every run: arm iff the run is `faulted` or
+ * `cfg` has a cancel flag. A faulted run probes `progress`, any other
+ * the committed-event count, which every tick advances, so only the
+ * cancel flag or the sim-time horizon can trip it.
+ */
+void armRunWatchdog(desim::Watchdog &watchdog, const desim::Simulator &sim,
+                    const desim::WatchdogConfig &cfg, bool faulted,
+                    std::function<std::uint64_t()> progress);
 
 /** Replays application traces into a mesh network. */
 class TraceReplayer
 {
   public:
     /**
-     * Replay a trace on a fresh mesh of the given configuration.
+     * Replay a trace on a fresh mesh of the given configuration, one
+     * source per non-empty trace source.
      *
      * When a metrics sink is installed (obs::ScopedObservability), the
-     * replay records its lag behind the pure trace clock — the
-     * cumulative network-drain time separating the replayed injection
-     * times from the recorded compute gaps — in the "replay.lag_us"
-     * histogram.
+     * replay counts its messages in "replay.messages" and records its
+     * lag behind the pure trace clock (the cumulative network drain
+     * time) in the "replay.lag_us" histogram.
      */
     static DriveResult replay(const trace::Trace &trace,
                               const mesh::MeshConfig &mesh,

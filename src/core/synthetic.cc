@@ -556,135 +556,68 @@ SyntheticModel::scaleTo(int target_procs,
 // ---------------------------------------------------------------
 // Generation.
 
-namespace {
-
-/** Shared per-run generation state (outlives every coroutine). */
-struct GenContext
-{
-    const SyntheticModel *model = nullptr;
-    stats::DiscreteSampler length;
-    bool usePhases = false;
-};
-
-double
-gapScaleAt(const std::vector<SyntheticModel::PhaseModel> &phases,
-           double t)
-{
-    auto it = std::upper_bound(
-        phases.begin(), phases.end(), t,
-        [](double tv, const SyntheticModel::PhaseModel &ph) {
-            return tv < ph.tBegin;
-        });
-    if (it != phases.begin())
-        --it;
-    return it->gapScale;
-}
-
-/** Bounded-outstanding transfer: releases its slot when drained. */
-desim::Task<void>
-pacedTransfer(mesh::MeshNetwork *net,
-              std::shared_ptr<desim::Resource> slots, mesh::Packet pkt)
-{
-    (void)co_await net->transfer(std::move(pkt));
-    slots->release();
-}
-
-desim::Task<void>
-syntheticSource(mesh::MeshNetwork *net,
-                const SyntheticModel::SourceModel *sm,
-                const stats::DiscreteSampler *destination,
-                const GenContext *ctx, std::uint64_t seed,
-                double time_scale, int max_outstanding)
-{
-    stats::Rng rng{seed};
-    std::shared_ptr<desim::Resource> slots;
-    if (max_outstanding > 0) {
-        slots = std::make_shared<desim::Resource>(
-            net->sim(), max_outstanding,
-            "ni-" + std::to_string(sm->source));
-    }
-    for (std::size_t i = 0; i < sm->messageCount; ++i) {
-        double gap = sm->interArrival->sample(rng) * time_scale;
-        if (ctx->usePhases)
-            gap *= gapScaleAt(ctx->model->phases, net->sim().now());
-        // A degenerate model (loaded rate underflow) may draw a
-        // non-finite gap; clamping keeps the run terminating without
-        // touching any finite-gap byte stream.
-        if (!std::isfinite(gap))
-            gap = 0.0;
-        co_await net->sim().delay(gap);
-        int dst = destination->sample(rng);
-        if (dst == sm->source) {
-            // Fitted models keep a structural zero at the source; a
-            // numerically degenerate draw falls back to the most
-            // likely other destination.
-            dst = sm->destination.argmax() == sm->source
-                      ? (sm->source + 1) % net->config().nodes()
-                      : sm->destination.argmax();
-        }
-        mesh::Packet pkt;
-        pkt.src = sm->source;
-        pkt.dst = dst;
-        pkt.bytes = ctx->length.sample(rng);
-        if (slots) {
-            co_await slots->acquire();
-            net->sim().spawn(
-                pacedTransfer(net, slots, std::move(pkt)),
-                "synth-paced");
-        } else {
-            net->post(std::move(pkt));
-        }
-    }
-}
-
-desim::Task<void>
-syntheticSink(mesh::MeshNetwork *net, int node)
-{
-    for (;;)
-        (void)co_await net->rxQueue(node).receive();
-}
-
-} // namespace
-
 DriveResult
 SyntheticTrafficGenerator::run(const SyntheticModel &model,
-                               const SynthRunOptions &opts)
+                               const SynthRunOptions &opts,
+                               const desim::WatchdogConfig &watchdog)
 {
     if (model.nprocs > model.mesh.nodes())
         throw std::invalid_argument("synthetic: model does not fit on "
                                     "the mesh");
-    DriveResult result;
-    desim::Simulator sim;
-    mesh::MeshNetwork net{sim, model.mesh, &result.log};
-
-    GenContext ctx;
-    ctx.model = &model;
-    ctx.usePhases = opts.usePhases && !model.phases.empty();
-    ctx.length = stats::DiscreteSampler::fromLengthPmf(model.lengthPmf, 8);
-    // Destination CDFs are cached once per source: at replay scale
-    // (millions of messages) the per-draw linear scan of DiscretePmf
-    // would dominate the run.
-    std::vector<stats::DiscreteSampler> destinations;
-    destinations.reserve(model.sources.size());
-    for (const auto &sm : model.sources)
-        destinations.push_back(
-            stats::DiscreteSampler::fromPmf(sm.destination));
-
-    for (int node = 0; node < model.mesh.nodes(); ++node)
-        sim.spawn(syntheticSink(&net, node), "sink");
-    for (std::size_t i = 0; i < model.sources.size(); ++i) {
-        const auto &sm = model.sources[i];
-        sim.spawn(syntheticSource(&net, &sm, &destinations[i], &ctx,
-                                  opts.seed +
-                                      static_cast<std::uint64_t>(
-                                          sm.source) *
-                                          7919,
-                                  opts.timeScale, opts.maxOutstanding),
-                  "synth-src-" + std::to_string(sm.source));
+    const std::vector<SyntheticModel::PhaseModel> *phases =
+        opts.usePhases && !model.phases.empty() ? &model.phases : nullptr;
+    const stats::DiscreteSampler length =
+        stats::DiscreteSampler::fromLengthPmf(model.lengthPmf, 8);
+    std::vector<TrafficSource> sources;
+    sources.reserve(model.sources.size());
+    for (const SyntheticModel::SourceModel &sm : model.sources) {
+        // Fitted models keep a structural zero at the source; a
+        // numerically degenerate draw falls back to the most likely
+        // other destination.
+        const int argmax = sm.destination.argmax();
+        const int fallback = argmax == sm.source
+                                 ? (sm.source + 1) % model.mesh.nodes()
+                                 : argmax;
+        // The destination CDF is cached once per source: at replay
+        // scale (millions of messages) the per-draw linear scan of
+        // DiscretePmf would dominate the run.
+        auto sampler =
+            [&sm, &length, phases, fallback, timeScale = opts.timeScale,
+             destination = stats::DiscreteSampler::fromPmf(sm.destination),
+             rng = stats::Rng{opts.seed +
+                              static_cast<std::uint64_t>(sm.source) * 7919},
+             left = sm.messageCount](desim::SimTime now,
+                                     SourceMessage &msg) mutable {
+                if (left == 0)
+                    return false;
+                --left;
+                double gap = sm.interArrival->sample(rng) * timeScale;
+                if (phases) {
+                    // The phase containing `now` scales the gap.
+                    auto ph = std::upper_bound(
+                        phases->begin(), phases->end(), now,
+                        [](double t, const SyntheticModel::PhaseModel &p) {
+                            return t < p.tBegin;
+                        });
+                    gap *= (ph == phases->begin() ? ph : ph - 1)->gapScale;
+                }
+                const int dst = destination.sample(rng);
+                // A degenerate model (loaded rate underflow) may draw a
+                // non-finite gap; clamping keeps the run terminating
+                // without touching any finite-gap byte stream.
+                msg = {std::isfinite(gap) ? gap : 0.0,
+                       {sm.source, dst == sm.source ? fallback : dst,
+                        length.sample(rng)}};
+                return true;
+            };
+        sources.push_back({"synth-src-" + std::to_string(sm.source),
+                           std::move(sampler)});
     }
-    sim.run();
-    result.measure(net, sim.now());
-    return result;
+    DriveOptions drive;
+    drive.pacing = opts.maxOutstanding > 0 ? Pacing::Window : Pacing::Open;
+    drive.window = opts.maxOutstanding;
+    drive.watchdog = watchdog;
+    return driveMesh(model.mesh, std::move(sources), drive);
 }
 
 // ---------------------------------------------------------------
@@ -792,12 +725,13 @@ computeSynthFidelity(const SyntheticModel &model,
 
 ModelValidation
 validateReportModel(const CharacterizationReport &report,
-                    const SynthRunOptions &opts)
+                    const SynthRunOptions &opts,
+                    const desim::WatchdogConfig &watchdog)
 {
     obs::ScopedObservability detach{nullptr, nullptr, nullptr, nullptr,
                                     nullptr};
     SyntheticModel model = SyntheticModel::fromReport(report);
-    DriveResult synth = SyntheticTrafficGenerator::run(model, opts);
+    DriveResult synth = SyntheticTrafficGenerator::run(model, opts, watchdog);
     ModelValidation v;
     v.enabled = true;
     v.network = synth.summary();

@@ -163,12 +163,15 @@ class SyntheticTrafficGenerator
   public:
     /**
      * Generate each source's messageCount messages (open-loop
-     * injection at fitted inter-arrival times) and return the
-     * resulting network log and statistics. Deterministic: the same
-     * model and options produce a byte-identical log.
+     * injection at fitted inter-arrival times, or windowed under
+     * maxOutstanding) through driveMesh and return the resulting
+     * network log and statistics. Deterministic: the same model and
+     * options produce a byte-identical log. `watchdog` is armed iff it
+     * has a cancel flag (armRunWatchdog).
      */
     static DriveResult run(const SyntheticModel &model,
-                           const SynthRunOptions &opts = {});
+                           const SynthRunOptions &opts = {},
+                           const desim::WatchdogConfig &watchdog = {});
 };
 
 /**
@@ -184,10 +187,12 @@ SynthesisFidelity computeSynthFidelity(const SyntheticModel &model,
  * Replay the model of `report` (fromReport) and compare it with the
  * run the report describes. The replay is fault-free, since a report
  * carries no injector, and runs with every ambient observability sink
- * detached, whose contents describe the original run.
+ * detached, whose contents describe the original run. A cancel flag
+ * in `watchdog` (a sweep job's deadline) can stop it.
  */
 ModelValidation validateReportModel(const CharacterizationReport &report,
-                                    const SynthRunOptions &opts = {});
+                                    const SynthRunOptions &opts = {},
+                                    const desim::WatchdogConfig &watchdog = {});
 
 } // namespace cchar::core
 

@@ -164,11 +164,17 @@ fillLinkStats(JobOutcome &out, const core::LinkWeatherSummary &lw)
     out.congestionOnsetLoad = lw.congestionOnsetLoad;
 }
 
-/** Close the loop for one job: how well its fitted model replays it. */
+/**
+ * Close the loop for one job: how well its fitted model replays it.
+ * The replay runs under the job's watchdog, so the job's deadline and
+ * shutdown cancellation reach it too.
+ */
 void
-fillSynthetic(JobOutcome &out, const core::CharacterizationReport &report)
+fillSynthetic(JobOutcome &out, const core::CharacterizationReport &report,
+              const desim::WatchdogConfig &watchdog)
 {
-    const core::ModelValidation v = core::validateReportModel(report);
+    const core::ModelValidation v =
+        core::validateReportModel(report, {}, watchdog);
     out.synthLatencyErr = v.latencyError;
     out.synthTemporalKs = v.fidelity.temporalKs;
     out.synthSpatialKs = v.fidelity.spatialKs;
@@ -271,7 +277,7 @@ SweepEngine::runJob(const SweepJob &job, obs::MetricsRegistry &registry,
                 .report;
         fillOutcome(out, report);
         if (job.synthetic)
-            fillSynthetic(out, report);
+            fillSynthetic(out, report, spec.watchdog);
         if (job.rankActivity)
             fillRankActivity(out, report.rankActivity);
         if (job.linkStats)

@@ -162,8 +162,9 @@ TEST(Replay, OpenLoopInjectsWithoutWaiting)
     mesh::MeshConfig mesh;
     mesh.width = 2;
     mesh.height = 1;
-    auto blocking = TraceReplayer::replay(t, mesh, {.blocking = true});
-    auto open = TraceReplayer::replay(t, mesh, {.blocking = false});
+    auto blocking =
+        TraceReplayer::replay(t, mesh, {.pacing = Pacing::Blocking});
+    auto open = TraceReplayer::replay(t, mesh, {.pacing = Pacing::Open});
     // Open loop: all injections near t=i*0.1; blocking: spaced by
     // message service time.
     EXPECT_LT(open.log.records().back().injectTime,

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -324,6 +325,27 @@ TEST(SynthLegacy, FaultedReportReplaysFaultFree)
     core::ModelValidation v = core::validateReportModel(report);
     EXPECT_EQ(direct.log.size(), model.totalMessages());
     EXPECT_DOUBLE_EQ(v.network.latencyMean, direct.latencyMean);
+}
+
+// The model replay runs under its caller's watchdog, so a sweep job's
+// deadline or a second SIGINT (both set the cancel flag) stops it.
+TEST(SynthLegacy, CancelFlagStopsModelReplay)
+{
+    CharacterizationReport report = characterizeApp("is");
+    std::atomic<bool> cancel{true};
+    desim::WatchdogConfig watchdog;
+    watchdog.cancelFlag = &cancel;
+    try {
+        (void)core::validateReportModel(report, {}, watchdog);
+        ADD_FAILURE() << "the model replay ignored its cancel flag";
+    } catch (const desim::WatchdogError &e) {
+        EXPECT_TRUE(e.cancelled());
+    }
+    // Armed but never cancelled, the watchdog changes no result.
+    cancel = false;
+    EXPECT_DOUBLE_EQ(
+        core::validateReportModel(report, {}, watchdog).network.latencyMean,
+        core::validateReportModel(report).network.latencyMean);
 }
 
 } // namespace

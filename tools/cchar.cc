@@ -294,7 +294,8 @@ usage()
            "                     [--watchdog-period US]\n"
            "                     [--watchdog-stalls N]\n"
            "                     [--max-sim-time US]\n"
-           "  cchar report <app> [--out FILE] [characterize options]\n"
+           "  cchar report <app> [--out FILE]\n"
+           "                     [characterize options but --synthetic]\n"
            "  cchar trace <mp-app> --out FILE [--width W] [--height H]\n"
            "  cchar replay <FILE> [--width W] [--height H] [--torus]\n"
            "                      [--windows N] [--phases] [--json]\n"
@@ -466,7 +467,7 @@ flagTable(Options &o)
         toggle("--progress", Run | Sweep | Chaos, o.progress),
         // One application or trace.
         number("--windows", Run, o.windows, ">= 0"),
-        toggle("--synthetic", Run | Sweep, o.synthetic),
+        toggle("--synthetic", Characterize | Replay | Sweep, o.synthetic),
         text("--trace-out", Run, o.traceOut),
         number("--sample-period", Run, o.samplePeriodUs, "> 0"),
         {"--fault-plan", Run, true,
@@ -779,6 +780,13 @@ cmdRun(const Options &opts)
             std::cerr << "unknown application: " << name << "\n";
             return usage();
         }
+        if (app && spec.machine.nprocs() > ccnuma::kMaxProcessors) {
+            throw usageError(
+                opts.command == Command::Report ? "report" : "characterize",
+                "--width x --height must be <= " +
+                    std::to_string(ccnuma::kMaxProcessors) +
+                    " for a shared-memory application");
+        }
         spec.sharedMemoryApp = app.get();
         spec.messagePassingApp = mpApp.get();
         if (opts.progress) {
@@ -789,8 +797,7 @@ cmdRun(const Options &opts)
     }
     core::RunResult run =
         core::runCharacterization(spec, pipelineOptions(opts, obsSession));
-    // The HTML of `report` has no validation section to fill.
-    if (opts.synthetic && opts.command != Command::Report)
+    if (opts.synthetic)
         run.report.synthetic = core::validateReportModel(run.report);
     return emitRun(opts, obsSession, run);
 }

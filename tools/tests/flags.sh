@@ -67,6 +67,13 @@ done
 expect_usage "characterize: unknown option: --out" \
     characterize is --out ignored.txt --json
 expect_usage "replay: unknown option: --out" replay mg.trace --out ignored.txt
+# The HTML report has no model-validation section, so report takes no
+# --synthetic.
+expect_usage "report: unknown option: --synthetic" report is --synthetic
+
+# A shared-memory application runs on at most 64 CC-NUMA processors.
+expect_usage "characterize: --width x --height must be <= 64" \
+    characterize is --width 16 --height 16
 
 # The three spellings of the worker count.
 SWEEP="--apps is --procs 4 --loads 0.1,0.2 --seeds 1..2"
