@@ -17,9 +17,9 @@
  * first place.
  */
 
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 
 #include "common.hh"
 
@@ -73,20 +73,13 @@ main()
               << "\n";
     std::cout << std::string(82, '-') << "\n";
 
-    core::CharacterizationPipeline pipeline;
     for (const std::string &name :
          {std::string{"1d-fft"}, std::string{"is"},
           std::string{"nbody"}}) {
         // Execution-driven run (with feedback).
         desim::Simulator sim;
         ccnuma::Machine machine{sim, standardMachine()};
-        std::unique_ptr<apps::SharedMemoryApp> app;
-        if (name == "1d-fft")
-            app = std::make_unique<apps::Fft1D>();
-        else if (name == "is")
-            app = std::make_unique<apps::IntegerSort>();
-        else
-            app = std::make_unique<apps::Nbody>();
+        auto app = apps::makeSharedMemoryApp(name);
         apps::launch(machine, *app);
         machine.run();
         double execLat = machine.network().latencyStats().mean();

@@ -12,29 +12,13 @@
 
 #include <iomanip>
 #include <iostream>
-#include <memory>
 
 #include "common.hh"
-
-namespace {
-
-using namespace cchar;
-
-std::unique_ptr<apps::SharedMemoryApp>
-makeApp(const std::string &name)
-{
-    if (name == "1d-fft")
-        return std::make_unique<apps::Fft1D>();
-    if (name == "is")
-        return std::make_unique<apps::IntegerSort>();
-    return std::make_unique<apps::Nbody>();
-}
-
-} // namespace
 
 int
 main()
 {
+    using namespace cchar;
     cchar::bench::SelfReport selfReport{"ablation_topology"};
     std::cout << "A4: topology ablation — 4x4 mesh vs 4x4 torus "
                  "(2 VCs, dateline)\n\n";
@@ -55,7 +39,7 @@ main()
                 cfg.mesh.topology = mesh::Topology::Torus;
                 cfg.mesh.virtualChannels = 2;
             }
-            auto app = makeApp(name);
+            auto app = apps::makeSharedMemoryApp(name);
             core::CharacterizationPipeline pipeline;
             auto report = pipeline.runDynamic(*app, cfg);
             std::cout << std::left << std::setw(10) << name

@@ -14,6 +14,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "apps/fft3d.hh"
 #include "common.hh"
 
 int

@@ -11,29 +11,13 @@
 
 #include <iomanip>
 #include <iostream>
-#include <memory>
 
 #include "common.hh"
-
-namespace {
-
-using namespace cchar;
-
-std::unique_ptr<apps::SharedMemoryApp>
-makeApp(const std::string &name)
-{
-    if (name == "1d-fft")
-        return std::make_unique<apps::Fft1D>();
-    if (name == "is")
-        return std::make_unique<apps::IntegerSort>();
-    return std::make_unique<apps::Nbody>();
-}
-
-} // namespace
 
 int
 main()
 {
+    using namespace cchar;
     cchar::bench::SelfReport selfReport{"scaling_procs"};
     std::cout << "S1: characterization vs system size (same problem "
                  "size per app)\n\n";
@@ -57,7 +41,7 @@ main()
             ccnuma::MachineConfig cfg;
             cfg.mesh.width = shape.width;
             cfg.mesh.height = shape.height;
-            auto app = makeApp(name);
+            auto app = apps::makeSharedMemoryApp(name);
             core::CharacterizationPipeline pipeline;
             auto report = pipeline.runDynamic(*app, cfg);
             std::cout << std::left << std::setw(10) << name

@@ -1,28 +1,15 @@
 /**
  * @file
- * Shared configuration and report builders for the benchmark harness.
- *
- * Every table/figure binary reproduces one element of the paper's
- * evaluation (see DESIGN.md section 4) using the standard setups: the
- * shared-memory suite on a 16-processor 4x4-mesh CC-NUMA machine
- * (dynamic strategy), and the NAS message-passing suite on 8 ranks
- * replayed into a 4x2 mesh (static strategy).
+ * The standard machines of the benchmark harness (see DESIGN.md
+ * section 4): the shared-memory suite runs on a 16-processor 4x4-mesh
+ * CC-NUMA machine (dynamic strategy), the NAS message-passing suite on
+ * 8 ranks replayed into a 4x2 mesh (static strategy).
  */
 
 #ifndef CCHAR_BENCH_COMMON_HH
 #define CCHAR_BENCH_COMMON_HH
 
-#include <functional>
-#include <string>
-#include <vector>
-
-#include "apps/cholesky.hh"
-#include "apps/fft1d.hh"
-#include "apps/fft3d.hh"
-#include "apps/is.hh"
-#include "apps/maxflow.hh"
-#include "apps/mg.hh"
-#include "apps/nbody.hh"
+#include "apps/registry.hh"
 #include "core/core.hh"
 #include "self_report.hh"
 
@@ -44,67 +31,6 @@ standardWorld()
     cfg.mesh.width = 4;
     cfg.mesh.height = 2;
     return cfg;
-}
-
-/** Characterize one shared-memory app by name with standard params. */
-inline core::CharacterizationReport
-sharedMemoryReport(const std::string &name)
-{
-    core::CharacterizationPipeline pipeline;
-    auto machine = standardMachine();
-    if (name == "1d-fft") {
-        apps::Fft1D app;
-        return pipeline.runDynamic(app, machine);
-    }
-    if (name == "is") {
-        apps::IntegerSort app;
-        return pipeline.runDynamic(app, machine);
-    }
-    if (name == "cholesky") {
-        apps::SparseCholesky app;
-        return pipeline.runDynamic(app, machine);
-    }
-    if (name == "maxflow") {
-        apps::Maxflow app;
-        return pipeline.runDynamic(app, machine);
-    }
-    if (name == "nbody") {
-        apps::Nbody app;
-        return pipeline.runDynamic(app, machine);
-    }
-    throw std::invalid_argument("unknown shared-memory app: " + name);
-}
-
-/** Characterize one message-passing app by name (static strategy). */
-inline core::CharacterizationReport
-messagePassingReport(const std::string &name)
-{
-    core::CharacterizationPipeline pipeline;
-    auto world = standardWorld();
-    if (name == "3d-fft") {
-        apps::Fft3D app;
-        return pipeline.runStatic(app, world);
-    }
-    if (name == "mg") {
-        apps::Multigrid app;
-        return pipeline.runStatic(app, world);
-    }
-    throw std::invalid_argument("unknown message-passing app: " + name);
-}
-
-inline const std::vector<std::string> &
-sharedMemoryAppNames()
-{
-    static const std::vector<std::string> names{
-        "1d-fft", "is", "cholesky", "maxflow", "nbody"};
-    return names;
-}
-
-inline const std::vector<std::string> &
-messagePassingAppNames()
-{
-    static const std::vector<std::string> names{"3d-fft", "mg"};
-    return names;
 }
 
 } // namespace cchar::bench

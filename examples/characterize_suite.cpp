@@ -9,16 +9,10 @@
  */
 
 #include <iostream>
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "apps/cholesky.hh"
-#include "apps/fft1d.hh"
-#include "apps/fft3d.hh"
-#include "apps/is.hh"
-#include "apps/maxflow.hh"
-#include "apps/mg.hh"
-#include "apps/nbody.hh"
+#include "apps/registry.hh"
 #include "core/core.hh"
 
 int
@@ -38,36 +32,16 @@ main()
 
     std::cout << "Running the shared-memory suite (dynamic strategy, "
               << "16 processors)...\n";
-    {
-        apps::Fft1D app;
-        reports.push_back(pipeline.runDynamic(app, machine));
-    }
-    {
-        apps::IntegerSort app;
-        reports.push_back(pipeline.runDynamic(app, machine));
-    }
-    {
-        apps::SparseCholesky app;
-        reports.push_back(pipeline.runDynamic(app, machine));
-    }
-    {
-        apps::Maxflow app;
-        reports.push_back(pipeline.runDynamic(app, machine));
-    }
-    {
-        apps::Nbody app;
-        reports.push_back(pipeline.runDynamic(app, machine));
+    for (const char *name : {"1d-fft", "is", "cholesky", "maxflow", "nbody"}) {
+        auto app = apps::makeSharedMemoryApp(name);
+        reports.push_back(pipeline.runDynamic(*app, machine));
     }
 
     std::cout << "Running the message-passing suite (static strategy, "
               << "8 ranks)...\n";
-    {
-        apps::Fft3D app;
-        reports.push_back(pipeline.runStatic(app, world));
-    }
-    {
-        apps::Multigrid app;
-        reports.push_back(pipeline.runStatic(app, world));
+    for (const std::string &name : apps::messagePassingAppNames()) {
+        auto app = apps::makeMessagePassingApp(name);
+        reports.push_back(pipeline.runStatic(*app, world));
     }
 
     std::cout << "\napp          messages  meanLen(B)  meanIAT(us)"

@@ -37,8 +37,9 @@ main()
     std::cout << "collected " << collected.size()
               << " application-level events\n";
 
-    // 2. Persist and reload the trace (the portable artifact).
-    const std::string path = "/tmp/cchar-3dfft.trace";
+    // 2. Persist and reload the trace (the portable artifact), in the
+    //    working directory.
+    const std::string path = "cchar-3dfft.trace";
     collected.saveFile(path);
     trace::Trace reloaded = trace::Trace::loadFile(path);
     std::cout << "round-tripped trace through " << path << " ("

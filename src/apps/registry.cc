@@ -1,5 +1,6 @@
 #include "registry.hh"
 
+#include <algorithm>
 #include <map>
 
 #include "cholesky.hh"
@@ -130,6 +131,14 @@ isKnownApp(const std::string &name)
         if (n == name)
             return true;
     return false;
+}
+
+bool
+isSharedMemoryApp(const std::string &name)
+{
+    const auto &names = sharedMemoryAppNames();
+    return customSharedMemory().count(name) ||
+           std::find(names.begin(), names.end(), name) != names.end();
 }
 
 } // namespace cchar::apps

@@ -61,6 +61,12 @@ makeMessagePassingApp(const std::string &name);
 /** True if `name` names any registered application. */
 bool isKnownApp(const std::string &name);
 
+/**
+ * True if makeSharedMemoryApp(name) constructs an app (a registered
+ * factory or a built-in), without constructing one.
+ */
+bool isSharedMemoryApp(const std::string &name);
+
 } // namespace cchar::apps
 
 #endif // CCHAR_APPS_REGISTRY_HH

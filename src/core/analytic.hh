@@ -28,7 +28,7 @@
  *
  * Message latency = no-load latency + sum of W_c along the route.
  * The model is compared against the event-driven simulator in
- * bench_analytic_model.
+ * section M1 of bench_paper_suite.
  */
 
 #ifndef CCHAR_CORE_ANALYTIC_HH

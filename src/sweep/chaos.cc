@@ -173,6 +173,8 @@ ChaosHarness::generatePlans() const
     int width = 0;
     int height = 0;
     meshFactor(opts_.procs, width, height);
+    for (const std::string &app : opts_.apps)
+        checkProcessorLimit("chaos", app, opts_.procs);
     auto links = directedLinks(width, height, opts_.torus);
 
     stats::Rng rng{opts_.seed};

@@ -137,7 +137,8 @@ class ChaosHarness
      * `workers` threads; classification and shrinking are sequential
      * in job order, so the result is identical for any worker count.
      * @throws core::CCharError(UsageError) on an invalid option set
-     *         (unknown app, no plans...).
+     *         (unknown app, no plans, a shared-memory app above the
+     *         CC-NUMA processor limit...).
      */
     ChaosResult run(int workers, bool progress = false);
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "apps/registry.hh"
+#include "ccnuma/machine.hh"
 #include "core/jsonscan.hh"
 #include "core/status.hh"
 #include "fault/plan.hh"
@@ -75,6 +76,20 @@ meshFactor(int n, int &width, int &height)
     width = n / height;
 }
 
+void
+checkProcessorLimit(const std::string &command, const std::string &app,
+                    int procs)
+{
+    if (procs > ccnuma::kMaxProcessors && apps::isSharedMemoryApp(app)) {
+        throw CCharError(StatusCode::UsageError,
+                         command + ": shared-memory application '" + app +
+                             "' takes at most " +
+                             std::to_string(ccnuma::kMaxProcessors) +
+                             " processors (procs " + std::to_string(procs) +
+                             ")");
+    }
+}
+
 std::vector<std::string>
 parseList(const std::string &text)
 {
@@ -125,6 +140,8 @@ SweepSpec::expand() const
     for (const std::string &app : apps) {
         if (!apps::isKnownApp(app))
             usageFail("unknown application '" + app + "'");
+        for (int n : procs)
+            checkProcessorLimit("sweep", app, n);
     }
     for (double load : loads) {
         if (!(load > 0.0))

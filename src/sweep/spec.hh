@@ -95,7 +95,8 @@ struct SweepSpec
     /**
      * Cross the dimensions into the canonical job list.
      * @throws core::CCharError(UsageError) on an empty or invalid
-     *         dimension (unknown app, non-factorable procs...).
+     *         dimension (unknown app, non-factorable procs, a
+     *         shared-memory app above the CC-NUMA processor limit...).
      */
     std::vector<SweepJob> expand() const;
 
@@ -125,6 +126,15 @@ std::vector<std::uint64_t> parseSeeds(const std::string &text);
  * @throws core::CCharError(UsageError) if n < 1.
  */
 void meshFactor(int n, int &width, int &height);
+
+/**
+ * Reject a shared-memory application on more processors than the
+ * CC-NUMA directory holds (ccnuma::kMaxProcessors) before any run.
+ * @throws core::CCharError(UsageError) "<command>: ..." naming `app`
+ *         and `procs`.
+ */
+void checkProcessorLimit(const std::string &command, const std::string &app,
+                         int procs);
 
 } // namespace cchar::sweep
 

@@ -9,6 +9,7 @@
 
 #include <sstream>
 
+#include "core/status.hh"
 #include "fault/plan.hh"
 #include "sweep/chaos.hh"
 
@@ -71,6 +72,16 @@ TEST(ChaosGenerator, RenderedPlansRoundTripThroughGrammar)
             EXPECT_EQ(parsed.faults()[i].describe(),
                       p.faults[i].describe());
     }
+}
+
+TEST(ChaosGenerator, RejectsSharedMemoryAppAboveCcNumaLimit)
+{
+    ChaosOptions opts = smallCampaign();
+    opts.apps = {"is"};
+    opts.procs = 256;
+    EXPECT_THROW(ChaosHarness{opts}.generatePlans(), core::CCharError);
+    opts.apps = {"3d-fft"};
+    EXPECT_EQ(ChaosHarness{opts}.generatePlans().size(), 6u);
 }
 
 TEST(ChaosClassify, MapsStatusAndFailures)

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "apps/registry.hh"
 #include "core/status.hh"
 #include "obs/registry.hh"
 #include "sweep/engine.hh"
@@ -105,6 +107,33 @@ TEST(SweepSpec, ExpansionValidates)
     spec.loads = {1.0};
     spec.faultPlans = {"garbage:xyz"};
     EXPECT_THROW(spec.expand(), core::CCharError);
+}
+
+TEST(SweepSpec, SharedMemoryJobAboveCcNumaLimitIsUsageError)
+{
+    // A registered factory counts as shared memory; expand() must not
+    // construct the app to find out.
+    apps::registerSharedMemoryApp(
+        "test-sm-limit", []() -> std::unique_ptr<apps::SharedMemoryApp> {
+            ADD_FAILURE() << "expand() constructed the app";
+            return nullptr;
+        });
+    SweepSpec spec;
+    spec.procs = {4, 128};
+    for (const std::string app : {"is", "test-sm-limit"}) {
+        spec.apps = {app};
+        try {
+            spec.expand();
+            ADD_FAILURE() << app << " expanded at 128 procs";
+        } catch (const core::CCharError &err) {
+            EXPECT_EQ(err.status().code(), core::StatusCode::UsageError);
+            const std::string what = err.what();
+            EXPECT_NE(what.find("'" + app + "'"), std::string::npos) << what;
+            EXPECT_NE(what.find("128"), std::string::npos) << what;
+        }
+    }
+    spec.apps = {"mg"};
+    EXPECT_EQ(spec.expand().size(), 2u);
 }
 
 TEST(SweepSpec, JsonFormRoundTrips)

@@ -30,7 +30,10 @@ hard gate for the deterministic counters only.
 Usage:
   tools/bench_compare.py [options] [BENCH_*.json ...]
 
-With no files, all BENCH_*.json in the current directory are compared.
+With no files, all BENCH_*.json in the current directory are compared,
+and a report without a baseline is only listed as NEW. Files named on
+the command line are the gate's contract: a named report that is
+missing, or that has no baseline, fails.
 
 Options:
   --baselines DIR   baseline directory (default: bench/baselines next
@@ -86,6 +89,7 @@ def parse_args(argv):
         else:
             opts["files"].append(arg)
         i += 1
+    opts["named"] = bool(opts["files"])
     if not opts["files"]:
         opts["files"] = sorted(glob.glob("BENCH_*.json"))
     return opts
@@ -147,9 +151,17 @@ def main(argv):
     for path in opts["files"]:
         name = os.path.basename(path)
         baseline = os.path.join(opts["baselines"], name)
+        if not os.path.exists(path):
+            regressed += 1
+            print(f"FAIL  {name}: no such report")
+            continue
         if not os.path.exists(baseline):
-            print(f"NEW   {name}: no baseline (run with --bless to add)")
-            missing += 1
+            if opts["named"]:
+                regressed += 1
+                print(f"FAIL  {name}: no baseline {baseline}")
+            else:
+                missing += 1
+                print(f"NEW   {name}: no baseline (run with --bless to add)")
             continue
         failures, warnings = compare_one(path, baseline, opts["tolerance"])
         if opts["strict_rates"]:

@@ -1,9 +1,11 @@
 #!/bin/sh
-# Bench counter gate: run the suite, phase and validation benches in a
-# fresh directory and compare their BENCH_*.json self-reports against
-# bench/baselines with tools/bench_compare.py. Event and message counts
-# are deterministic and must match exactly; throughput drops only
-# print a WARN.
+# Bench counter gate: run the paper-suite bench in a fresh directory
+# and compare its BENCH_paper_suite.json self-report against
+# bench/baselines with tools/bench_compare.py. The report is named, so
+# a missing report or baseline fails. Event and message counts are
+# deterministic and must match exactly; throughput drops only print a
+# WARN. The bench's stdout stays in paper_suite.out for the
+# experiments_doc check, so one suite run serves both.
 #
 # Usage: bench_counters.sh <bench-binary-dir> <workdir>
 set -eu
@@ -13,7 +15,5 @@ rm -rf "$2"
 mkdir -p "$2"
 cd "$2"
 
-"$BIN"/bench_table1_suite > /dev/null
-"$BIN"/bench_fig_phases > /dev/null
-"$BIN"/bench_validation > /dev/null
-python3 "$COMPARE"
+"$BIN"/bench_paper_suite > paper_suite.out
+python3 "$COMPARE" BENCH_paper_suite.json
