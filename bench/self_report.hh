@@ -22,10 +22,13 @@ namespace cchar::bench {
 
 /**
  * Installs a process-wide metrics registry for its lifetime so every
- * simulation the bench runs is counted; on destruction prints
- * simulator throughput (events/sec, messages/sec) to stderr and drops
+ * observed simulation the bench runs is counted; on destruction prints
+ * the wall time and the event and message counts to stderr and drops
  * a machine-readable BENCH_<name>.json record in the working
- * directory.
+ * directory. No rate is derived from them: the wall time also covers
+ * work the counters do not observe (analysis, replays run with the
+ * sinks detached). A bench that measures throughput times its own
+ * loop and attaches the rate with extra().
  */
 class SelfReport
 {
@@ -62,17 +65,11 @@ class SelfReport
                           .count();
         std::uint64_t events = registry_.counterValue("desim.events");
         std::uint64_t msgs = registry_.counterValue("mesh.messages");
-        double eps =
-            wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
-        double mps =
-            wall > 0.0 ? static_cast<double>(msgs) / wall : 0.0;
         std::cerr << "[bench] " << name_ << ": " << wall << "s wall, "
-                  << events << " events (" << eps << "/s), " << msgs
-                  << " mesh messages (" << mps << "/s)\n";
+                  << events << " events, " << msgs << " mesh messages\n";
         std::ofstream f{"BENCH_" + name_ + ".json"};
         f << "{\"bench\":\"" << name_ << "\",\"wall_s\":" << wall
-          << ",\"events\":" << events << ",\"events_per_sec\":" << eps
-          << ",\"messages\":" << msgs << ",\"messages_per_sec\":" << mps;
+          << ",\"events\":" << events << ",\"messages\":" << msgs;
         for (const auto &[key, v] : extras_) {
             f << ",\"" << key << "\":";
             if (v.isBool)

@@ -13,36 +13,6 @@
 
 namespace cchar::core {
 
-namespace {
-
-/**
- * Fill gapScale for every phase: the ratio of the run's mean injection
- * rate to the phase's own rate. Degenerate rates (zero, negative,
- * non-finite) leave the phase neutral at 1.0.
- */
-void
-computePhaseGapScales(std::vector<SyntheticModel::PhaseModel> &phases)
-{
-    if (phases.empty())
-        return;
-    double total = 0.0;
-    for (const auto &ph : phases)
-        total += static_cast<double>(ph.messageCount);
-    double span = phases.back().tEnd - phases.front().tBegin;
-    double globalRate = span > 0.0 ? total / span : 0.0;
-    for (auto &ph : phases) {
-        ph.gapScale = 1.0;
-        if (globalRate > 0.0 && ph.injectionRate > 0.0 &&
-            std::isfinite(ph.injectionRate)) {
-            double s = globalRate / ph.injectionRate;
-            if (std::isfinite(s) && s > 0.0)
-                ph.gapScale = s;
-        }
-    }
-}
-
-} // namespace
-
 SyntheticModel
 SyntheticModel::fromReport(const CharacterizationReport &report)
 {
@@ -60,10 +30,15 @@ SyntheticModel::fromReport(const CharacterizationReport &report)
             bySource[static_cast<std::size_t>(fit.source)] = &fit;
     }
 
+    const auto &counts = report.volume.perSourceCounts;
     for (const auto &spatial : report.spatialPerSource) {
         int src = spatial.source;
+        // A source the per-source tables cannot index has no model.
+        if (src < 0 || src >= report.nprocs ||
+            static_cast<std::size_t>(src) >= counts.size())
+            continue;
         auto count = static_cast<std::size_t>(
-            report.volume.perSourceCounts[static_cast<std::size_t>(src)]);
+            counts[static_cast<std::size_t>(src)]);
         if (count == 0)
             continue;
         SourceModel sm;
@@ -79,6 +54,16 @@ SyntheticModel::fromReport(const CharacterizationReport &report)
         model.sources.push_back(std::move(sm));
     }
 
+    // gapScale: the run's mean injection rate over the phase's own
+    // rate. A degenerate rate (zero, negative, non-finite) leaves the
+    // phase neutral at 1.0.
+    double total = 0.0;
+    for (const auto &ph : report.phases)
+        total += static_cast<double>(ph.messageCount);
+    double span = report.phases.empty() ? 0.0
+                                        : report.phases.back().tEnd -
+                                              report.phases.front().tBegin;
+    double globalRate = span > 0.0 ? total / span : 0.0;
     for (const auto &ph : report.phases) {
         PhaseModel pm;
         pm.index = ph.index;
@@ -86,9 +71,14 @@ SyntheticModel::fromReport(const CharacterizationReport &report)
         pm.tEnd = ph.tEnd;
         pm.messageCount = ph.messageCount;
         pm.injectionRate = ph.injectionRate;
+        if (globalRate > 0.0 && ph.injectionRate > 0.0 &&
+            std::isfinite(ph.injectionRate)) {
+            double scale = globalRate / ph.injectionRate;
+            if (std::isfinite(scale) && scale > 0.0)
+                pm.gapScale = scale;
+        }
         model.phases.push_back(pm);
     }
-    computePhaseGapScales(model.phases);
     return model;
 }
 
@@ -140,64 +130,53 @@ readIntField(JsonScanner &s, const char *field)
     return static_cast<int>(v);
 }
 
-/** One parsed temporal-fit JSON object (family absent = no fit). */
-struct TemporalJson
+/**
+ * Parse one temporal-fit object. A fit that names a family carries its
+ * distribution; a family (empty included) and parameters that make no
+ * valid model fail, naming the fit (`temporal.aggregate` or
+ * `temporal.perSource[<src>]`).
+ */
+TemporalFit
+parseTemporalFit(JsonScanner &s, bool perSource)
 {
-    int source = -1;
+    TemporalFit t;
     std::string family;
+    bool hasFit = false;
     int stages = 0;
     std::vector<double> params;
-    bool hasFit = false;
-};
-
-TemporalJson
-parseTemporalFit(JsonScanner &s, const char *where)
-{
-    TemporalJson t;
     s.readObject([&](const std::string &key) {
         if (key == "source") {
             t.source = readIntField(s, "temporal source");
         } else if (key == "family") {
-            t.family = s.readString();
-            t.hasFit = true;
+            family = s.readString();
+            hasFit = true;
         } else if (key == "stages") {
-            t.stages = readIntField(s, "temporal stages");
+            stages = readIntField(s, "temporal stages");
         } else if (key == "params") {
             s.readArray([&] {
-                t.params.push_back(readFinite(s, "temporal param"));
+                params.push_back(readFinite(s, "temporal param"));
             });
         } else {
             skipValue(s, 0);
         }
     });
-    if (t.hasFit && t.family.empty())
-        s.fail(std::string{where} + " has an empty family name");
-    return t;
-}
-
-std::unique_ptr<stats::Distribution>
-buildDistribution(JsonScanner &s, const TemporalJson &t,
-                  const std::string &where)
-{
-    auto dist = stats::distributionFromName(t.family, t.params, t.stages);
-    if (!dist) {
+    if (!hasFit)
+        return t;
+    std::string where =
+        perSource ? "temporal.perSource[" + std::to_string(t.source) + "]"
+                  : "temporal.aggregate";
+    t.fit.dist = stats::distributionFromName(family, params, stages);
+    if (!t.fit.dist) {
         std::ostringstream msg;
-        msg << where << ": family '" << t.family << "' with "
-            << t.params.size() << " params";
-        if (t.family == "erlang")
-            msg << " and stages=" << t.stages;
+        msg << where << ": family '" << family << "' with "
+            << params.size() << " params";
+        if (family == "erlang")
+            msg << " and stages=" << stages;
         msg << " is not a valid model";
         s.fail(msg.str());
     }
-    return dist;
+    return t;
 }
-
-/** One parsed spatial.perSource entry. */
-struct SpatialJson
-{
-    int source = -1;
-    std::vector<double> pmf;
-};
 
 } // namespace
 
@@ -206,11 +185,8 @@ SyntheticModel::fromJson(const std::string &text)
 {
     JsonScanner s{text, "synth model"};
 
-    SyntheticModel model;
-    TemporalJson aggregate;
-    std::vector<TemporalJson> perSource;
-    std::vector<SpatialJson> spatial;
-    std::vector<double> perSourceCounts;
+    // The parts of a report that fromReport builds a model from.
+    CharacterizationReport report;
     bool sawMesh = false, sawTemporal = false, sawSpatial = false;
     bool sawVolume = false, sawCounts = false;
     std::string topology = "mesh";
@@ -218,16 +194,16 @@ SyntheticModel::fromJson(const std::string &text)
 
     s.readObject([&](const std::string &key) {
         if (key == "application") {
-            model.application = s.readString();
+            report.application = s.readString();
         } else if (key == "nprocs") {
-            model.nprocs = readIntField(s, "nprocs");
+            report.nprocs = readIntField(s, "nprocs");
         } else if (key == "mesh") {
             sawMesh = true;
             s.readObject([&](const std::string &mk) {
                 if (mk == "width")
-                    model.mesh.width = readIntField(s, "mesh.width");
+                    report.mesh.width = readIntField(s, "mesh.width");
                 else if (mk == "height")
-                    model.mesh.height = readIntField(s, "mesh.height");
+                    report.mesh.height = readIntField(s, "mesh.height");
                 else if (mk == "topology")
                     topology = s.readString();
                 else if (mk == "vcs")
@@ -239,11 +215,11 @@ SyntheticModel::fromJson(const std::string &text)
             sawTemporal = true;
             s.readObject([&](const std::string &tk) {
                 if (tk == "aggregate") {
-                    aggregate = parseTemporalFit(s, "temporal.aggregate");
+                    report.temporalAggregate = parseTemporalFit(s, false);
                 } else if (tk == "perSource") {
                     s.readArray([&] {
-                        perSource.push_back(parseTemporalFit(
-                            s, "temporal.perSource entry"));
+                        report.temporalPerSource.push_back(
+                            parseTemporalFit(s, true));
                     });
                 } else {
                     skipValue(s, 0);
@@ -254,10 +230,12 @@ SyntheticModel::fromJson(const std::string &text)
             s.readObject([&](const std::string &sk) {
                 if (sk == "perSource") {
                     s.readArray([&] {
-                        SpatialJson sj;
+                        SpatialFit sf;
+                        sf.source = -1; // absent = out of range
+                        std::vector<double> pmf;
                         s.readObject([&](const std::string &pk) {
                             if (pk == "source") {
-                                sj.source = readIntField(
+                                sf.source = readIntField(
                                     s, "spatial.perSource source");
                             } else if (pk == "pmf") {
                                 s.readArray([&] {
@@ -266,13 +244,18 @@ SyntheticModel::fromJson(const std::string &text)
                                     if (p < 0.0)
                                         s.fail("spatial.perSource pmf "
                                                "entry must be >= 0");
-                                    sj.pmf.push_back(p);
+                                    pmf.push_back(p);
                                 });
                             } else {
                                 skipValue(s, 0);
                             }
                         });
-                        spatial.push_back(std::move(sj));
+                        // The JSON carries only the observed PMF; it
+                        // stands in for the classified model that
+                        // fromReport replays.
+                        sf.classification.model =
+                            stats::DiscretePmf{std::move(pmf)};
+                        report.spatialPerSource.push_back(std::move(sf));
                     });
                 } else {
                     skipValue(s, 0);
@@ -299,7 +282,7 @@ SyntheticModel::fromJson(const std::string &text)
                                    ">= 0");
                         if (p < 0.0)
                             s.fail("volume.lengthPmf p must be >= 0");
-                        model.lengthPmf.emplace_back(bytes, p);
+                        report.volume.lengthPmf.emplace_back(bytes, p);
                     });
                 } else if (vk == "perSourceCounts") {
                     sawCounts = true;
@@ -309,7 +292,7 @@ SyntheticModel::fromJson(const std::string &text)
                         if (c < 0.0 || c > kMaxSourceMessages)
                             s.fail("volume.perSourceCounts entry out "
                                    "of range");
-                        perSourceCounts.push_back(c);
+                        report.volume.perSourceCounts.push_back(c);
                     });
                 } else {
                     skipValue(s, 0);
@@ -317,30 +300,29 @@ SyntheticModel::fromJson(const std::string &text)
             });
         } else if (key == "phases") {
             s.readArray([&] {
-                PhaseModel pm;
+                PhaseCharacterization ph;
                 s.readObject([&](const std::string &pk) {
                     if (pk == "index") {
-                        pm.index = readIntField(s, "phase index");
+                        ph.index = readIntField(s, "phase index");
                     } else if (pk == "tBegin") {
-                        pm.tBegin = readFinite(s, "phase tBegin");
+                        ph.tBegin = readFinite(s, "phase tBegin");
                     } else if (pk == "tEnd") {
-                        pm.tEnd = readFinite(s, "phase tEnd");
+                        ph.tEnd = readFinite(s, "phase tEnd");
                     } else if (pk == "messages") {
                         double m = readFinite(s, "phase messages");
                         if (m < 0.0 || m > kMaxSourceMessages)
                             s.fail("phase messages out of range");
-                        pm.messageCount =
-                            static_cast<std::size_t>(m);
+                        ph.messageCount = static_cast<std::size_t>(m);
                     } else if (pk == "injectionRate") {
-                        pm.injectionRate =
+                        ph.injectionRate =
                             readFinite(s, "phase injectionRate");
                     } else {
                         skipValue(s, 0);
                     }
                 });
-                if (pm.tEnd < pm.tBegin)
+                if (ph.tEnd < ph.tBegin)
                     s.fail("phase tEnd must be >= tBegin");
-                model.phases.push_back(pm);
+                report.phases.push_back(std::move(ph));
             });
         } else {
             skipValue(s, 0);
@@ -350,28 +332,29 @@ SyntheticModel::fromJson(const std::string &text)
         s.fail("trailing content after JSON document");
 
     // Structural validation with named fields.
-    if (model.nprocs < 1)
+    if (report.nprocs < 1)
         s.fail("nprocs must be >= 1");
     if (!sawMesh)
         s.fail("mesh object is missing");
-    if (model.mesh.width < 1 || model.mesh.height < 1)
+    if (report.mesh.width < 1 || report.mesh.height < 1)
         s.fail("mesh.width and mesh.height must be >= 1");
     // 64-bit product: MeshConfig::nodes() would overflow int on a
     // hostile board before the bound could reject it.
-    if (std::int64_t{model.mesh.width} * model.mesh.height > mesh::kMaxNodes)
+    if (std::int64_t{report.mesh.width} * report.mesh.height >
+        mesh::kMaxNodes)
         s.fail("mesh describes more than 2^20 nodes");
-    if (model.nprocs > model.mesh.nodes())
+    if (report.nprocs > report.mesh.nodes())
         s.fail("nprocs exceeds the mesh node count");
     if (topology == "torus")
-        model.mesh.topology = mesh::Topology::Torus;
+        report.mesh.topology = mesh::Topology::Torus;
     else if (topology == "mesh")
-        model.mesh.topology = mesh::Topology::Mesh;
+        report.mesh.topology = mesh::Topology::Mesh;
     else
         s.fail("mesh.topology must be \"mesh\" or \"torus\"");
     if (vcs < 1 || vcs > 16)
         s.fail("mesh.vcs out of range [1, 16]");
-    model.mesh.virtualChannels =
-        model.mesh.topology == mesh::Topology::Torus
+    report.mesh.virtualChannels =
+        report.mesh.topology == mesh::Topology::Torus
             ? std::max(vcs, 2)
             : vcs;
     if (!sawTemporal)
@@ -384,53 +367,29 @@ SyntheticModel::fromJson(const std::string &text)
         s.fail("volume.perSourceCounts is missing (regenerate the "
                "report with a build that emits it)");
 
-    // Assemble the per-source models.
-    std::unique_ptr<stats::Distribution> aggDist;
-    if (aggregate.hasFit)
-        aggDist = buildDistribution(s, aggregate, "temporal.aggregate");
-    std::vector<const TemporalJson *> bySource(
-        static_cast<std::size_t>(model.nprocs), nullptr);
-    for (const auto &t : perSource) {
-        if (t.source < 0 || t.source >= model.nprocs)
+    // Cross-field validation: sources in range, and a destination with
+    // mass for every source that has traffic.
+    for (const auto &t : report.temporalPerSource)
+        if (t.source < 0 || t.source >= report.nprocs)
             s.fail("temporal.perSource source out of range");
-        bySource[static_cast<std::size_t>(t.source)] = &t;
-    }
-    for (const auto &sj : spatial) {
-        if (sj.source < 0 || sj.source >= model.nprocs)
+    const auto &counts = report.volume.perSourceCounts;
+    for (const auto &sf : report.spatialPerSource) {
+        if (sf.source < 0 || sf.source >= report.nprocs)
             s.fail("spatial.perSource source out of range");
-        double count =
-            sj.source < static_cast<int>(perSourceCounts.size())
-                ? perSourceCounts[static_cast<std::size_t>(sj.source)]
-                : 0.0;
-        if (count < 1.0)
+        auto src = static_cast<std::size_t>(sf.source);
+        if (src >= counts.size() || counts[src] < 1.0)
             continue;
         double mass = 0.0;
-        for (double p : sj.pmf)
+        for (double p : sf.classification.model.probabilities())
             mass += p;
         if (mass <= 0.0)
             s.fail("spatial.perSource pmf of source " +
-                   std::to_string(sj.source) + " has no mass");
-        SourceModel sm;
-        sm.source = sj.source;
-        sm.messageCount = static_cast<std::size_t>(count);
-        const TemporalJson *tf =
-            bySource[static_cast<std::size_t>(sj.source)];
-        if (tf && tf->hasFit) {
-            sm.interArrival = buildDistribution(
-                s, *tf,
-                "temporal.perSource[" + std::to_string(sj.source) + "]");
-        } else if (aggDist) {
-            sm.interArrival = aggDist->clone();
-        } else {
-            continue; // no usable temporal model for this source
-        }
-        sm.destination = stats::DiscretePmf{sj.pmf};
-        model.sources.push_back(std::move(sm));
+                   std::to_string(sf.source) + " has no mass");
     }
+
+    SyntheticModel model = fromReport(report);
     if (model.sources.empty())
         s.fail("no source has both traffic and a usable temporal fit");
-
-    computePhaseGapScales(model.phases);
     return model;
 }
 
@@ -453,27 +412,6 @@ SyntheticModel::totalMessages() const
     for (const auto &sm : sources)
         total += sm.messageCount;
     return total;
-}
-
-SyntheticModel
-SyntheticModel::clone() const
-{
-    SyntheticModel out;
-    out.mesh = mesh;
-    out.nprocs = nprocs;
-    out.application = application;
-    out.phases = phases;
-    out.lengthPmf = lengthPmf;
-    out.sources.reserve(sources.size());
-    for (const auto &sm : sources) {
-        SourceModel c;
-        c.source = sm.source;
-        c.interArrival = sm.interArrival->clone();
-        c.destination = sm.destination;
-        c.messageCount = sm.messageCount;
-        out.sources.push_back(std::move(c));
-    }
-    return out;
 }
 
 SyntheticModel

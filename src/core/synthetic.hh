@@ -9,12 +9,14 @@
  * global message-length PMF and (when phase detection ran) the phase
  * schedule. Models come from two places:
  *
- *  - fromReport: directly from an in-memory CharacterizationReport
- *    (the `--synthetic` validation path, validateReportModel);
+ *  - fromReport: from an in-memory CharacterizationReport (the
+ *    `--synthetic` validation path, validateReportModel);
  *  - fromJson / fromJsonFile: from a characterization JSON document
- *    written by `cchar characterize --json` — the `cchar synth`
- *    replay path. The report JSON *is* the model format; there is no
- *    second schema to keep in sync.
+ *    written by `cchar characterize --json` (the `cchar synth` replay
+ *    path), read back into a report and built by fromReport. The JSON
+ *    is not the whole report: its doubles have 6 significant digits,
+ *    and it holds each source's observed destination PMF, not the
+ *    classified model fromReport replays otherwise.
  *
  * A loaded model can be re-projected onto a larger machine with
  * scaleTo (topology tiling + message-budget scaling), so a 16-process
@@ -89,15 +91,17 @@ struct SyntheticModel
      * Build the model from a characterization report: per-source
      * temporal fits where available (aggregate fit otherwise), the
      * classified spatial model per source, and the observed length
-     * PMF.
+     * PMF. A spatial source with no traffic, no usable temporal fit,
+     * or outside [0, nprocs) or volume.perSourceCounts gets no model.
      */
     static SyntheticModel fromReport(const CharacterizationReport &report);
 
     /**
      * Parse a characterization JSON document (the `--json` output of
-     * `cchar characterize`) into a model. Every malformed or
-     * semantically invalid input throws CCharError(ParseError) whose
-     * message names the offending field; nothing ever aborts.
+     * `cchar characterize`) into a report and return fromReport of it.
+     * Every malformed or semantically invalid input throws
+     * CCharError(ParseError) whose message names the offending field;
+     * nothing ever aborts.
      */
     static SyntheticModel fromJson(const std::string &text);
 
@@ -106,9 +110,6 @@ struct SyntheticModel
 
     /** Sum of the per-source message counts. */
     std::size_t totalMessages() const;
-
-    /** Deep copy (SourceModel owns its distribution). */
-    SyntheticModel clone() const;
 
     /**
      * Re-project the model onto a larger machine.

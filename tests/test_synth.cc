@@ -11,7 +11,9 @@
  * thresholds of the model. Plus the determinism contract (the same
  * model and seed produce byte-identical traffic) and the gating
  * contract (a report analyzed without synthesis renders exactly as
- * before: no "synthFidelity" key, no "Synthesis fidelity" section).
+ * before: no "synthFidelity" key, no "Synthesis fidelity" section),
+ * and what separates the two model entry points (fromReport and
+ * fromJson).
  *
  * The KS thresholds are deliberately loose relative to what the seeds
  * actually achieve (see tools/ CLI goldens for exact values): they
@@ -25,6 +27,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/registry.hh"
 #include "core/core.hh"
@@ -45,10 +48,12 @@ constexpr double kTemporalKsMax = 0.10;
 constexpr double kSpatialKsMax = 0.06;
 constexpr double kVolumeKsMax = 0.05;
 
+/** `name` on a 4x4 CC-NUMA machine or a 4x`mpHeight` MP machine. */
 CharacterizationReport
-characterizeApp(const std::string &name)
+characterizeApp(const std::string &name,
+                const core::PipelineOptions &opts = {}, int mpHeight = 4)
 {
-    core::CharacterizationPipeline pipeline;
+    core::CharacterizationPipeline pipeline{opts};
     if (auto app = apps::makeSharedMemoryApp(name)) {
         ccnuma::MachineConfig cfg;
         cfg.mesh.width = 4;
@@ -59,7 +64,7 @@ characterizeApp(const std::string &name)
     EXPECT_NE(mpApp, nullptr) << name;
     mp::MpConfig cfg;
     cfg.mesh.width = 4;
-    cfg.mesh.height = 4;
+    cfg.mesh.height = mpHeight;
     return pipeline.runStatic(*mpApp, cfg);
 }
 
@@ -325,6 +330,126 @@ TEST(SynthLegacy, FaultedReportReplaysFaultFree)
     core::ModelValidation v = core::validateReportModel(report);
     EXPECT_EQ(direct.log.size(), model.totalMessages());
     EXPECT_DOUBLE_EQ(v.network.latencyMean, direct.latencyMean);
+}
+
+// --------------------------------------------------------------------
+// The two model entry points: fromReport (in-memory report) and
+// fromJson (the report JSON `cchar synth` reads)
+
+/** `pmf` as the report JSON prints it (6 significant digits). */
+stats::DiscretePmf
+asPrinted(const stats::DiscretePmf &pmf)
+{
+    std::vector<double> printed;
+    for (double p : pmf.probabilities()) {
+        std::ostringstream os;
+        os << p;
+        printed.push_back(std::stod(os.str()));
+    }
+    return stats::DiscretePmf{printed};
+}
+
+// The JSON carries only each source's observed destination PMF, so the
+// two entry points build the same model except for the destination:
+// fromReport replays the classified pattern, fromJson the observed
+// PMF. Everything else agrees. Past the JSON's rounding the two differ
+// on 16 of 16 `is` sources, 15 of 16 `nbody`, 4 of 8 `3d-fft` and none
+// of `mg`'s 8, whose classified models are their observed PMFs.
+TEST(SynthModel, EntryPointsDifferOnlyInDestinationPmf)
+{
+    struct Case
+    {
+        const char *app;
+        bool classifiedDiffers;
+    };
+    for (const Case &c : {Case{"is", true}, Case{"nbody", true},
+                          Case{"3d-fft", true}, Case{"mg", false}}) {
+        SCOPED_TRACE(c.app);
+        // The standard machines (CC-NUMA 4x4, MP 4x2), phases on.
+        core::PipelineOptions phases;
+        phases.detectPhases = true;
+        CharacterizationReport report = characterizeApp(c.app, phases, 2);
+        SyntheticModel fromReport = SyntheticModel::fromReport(report);
+        SyntheticModel fromJson =
+            SyntheticModel::fromJson(reportJson(report));
+
+        EXPECT_EQ(fromJson.mesh.width, fromReport.mesh.width);
+        EXPECT_EQ(fromJson.mesh.height, fromReport.mesh.height);
+        EXPECT_EQ(fromJson.mesh.topology, fromReport.mesh.topology);
+        EXPECT_EQ(fromJson.mesh.virtualChannels,
+                  fromReport.mesh.virtualChannels);
+        EXPECT_EQ(fromJson.nprocs, fromReport.nprocs);
+        EXPECT_EQ(fromJson.lengthPmf.size(), fromReport.lengthPmf.size());
+        ASSERT_FALSE(fromReport.phases.empty());
+        ASSERT_EQ(fromJson.phases.size(), fromReport.phases.size());
+        for (std::size_t i = 0; i < fromReport.phases.size(); ++i) {
+            EXPECT_EQ(fromJson.phases[i].index, fromReport.phases[i].index);
+            EXPECT_EQ(fromJson.phases[i].messageCount,
+                      fromReport.phases[i].messageCount);
+        }
+
+        ASSERT_FALSE(fromReport.sources.empty());
+        ASSERT_EQ(fromJson.sources.size(), fromReport.sources.size());
+        std::size_t differing = 0;
+        for (std::size_t i = 0; i < fromReport.sources.size(); ++i) {
+            const auto &r = fromReport.sources[i];
+            const auto &j = fromJson.sources[i];
+            EXPECT_EQ(j.source, r.source);
+            EXPECT_EQ(j.messageCount, r.messageCount);
+            EXPECT_EQ(j.interArrival->name(), r.interArrival->name());
+
+            const core::SpatialFit *spatial = nullptr;
+            for (const auto &sf : report.spatialPerSource)
+                if (sf.source == r.source)
+                    spatial = &sf;
+            ASSERT_NE(spatial, nullptr) << "source " << r.source;
+            EXPECT_EQ(r.destination.probabilities(),
+                      spatial->classification.model.probabilities())
+                << "source " << r.source;
+            EXPECT_EQ(j.destination.probabilities(),
+                      asPrinted(spatial->observed).probabilities())
+                << "source " << r.source;
+            // Past the JSON's 6-digit rounding, a classified pattern
+            // that is not the observed PMF moves the replay.
+            if (r.destination.tvd(j.destination) > 1e-4)
+                ++differing;
+        }
+        if (c.classifiedDiffers)
+            EXPECT_GT(differing, 0u);
+        else
+            EXPECT_EQ(differing, 0u);
+    }
+}
+
+// A source that the report's per-source tables cannot index (outside
+// [0, nprocs), or past the end of perSourceCounts) is skipped, not
+// read out of bounds.
+TEST(SynthModel, FromReportSkipsSourcesItCannotIndex)
+{
+    CharacterizationReport report;
+    report.application = "hand-built";
+    report.nprocs = 2;
+    report.mesh.width = 2;
+    report.mesh.height = 1;
+    report.volume.perSourceCounts = {3.0, 4.0};
+    report.volume.lengthPmf = {{8, 1.0}};
+    report.temporalAggregate.fit.dist =
+        stats::distributionFromName("exponential", std::vector{1.0}, 0);
+    ASSERT_NE(report.temporalAggregate.fit.dist, nullptr);
+    for (int src : {0, 5, 1}) {
+        core::SpatialFit sf;
+        sf.source = src;
+        sf.observed = stats::DiscretePmf{{0.5, 0.5}};
+        sf.classification.model = sf.observed;
+        report.spatialPerSource.push_back(sf);
+    }
+
+    SyntheticModel model = SyntheticModel::fromReport(report);
+    ASSERT_EQ(model.sources.size(), 2u);
+    EXPECT_EQ(model.sources[0].source, 0);
+    EXPECT_EQ(model.sources[0].messageCount, 3u);
+    EXPECT_EQ(model.sources[1].source, 1);
+    EXPECT_EQ(model.sources[1].messageCount, 4u);
 }
 
 // The model replay runs under its caller's watchdog, so a sweep job's

@@ -11,12 +11,14 @@ a bench regressed:
    hard failure regardless of tolerance. A report can opt out by
    setting `"counts_deterministic": false` (used by benches whose
    totals scale with google-benchmark's adaptive iteration counts).
- - `events_per_sec` and `messages_per_sec` are wall-clock throughput:
-   a drop of more than --tolerance (relative, default 25%) below the
-   baseline is reported as a WARN but never affects the exit code —
-   runner throughput is too machine-dependent to gate on.
-   Improvements never warn. Pass --strict-rates to turn throughput
-   warnings into failures on a stable machine.
+ - `synth_messages_per_sec` is wall-clock throughput that
+   bench_perf_micro times over its own generation loop: a drop of more
+   than --tolerance (relative, default 25%) below the baseline is
+   reported as a WARN but never affects the exit code — runner
+   throughput is too machine-dependent to gate on. Improvements never
+   warn. Pass --strict-rates to turn throughput warnings into failures
+   on a stable machine. The self-report carries no whole-binary rate:
+   its wall time covers work its counters do not observe.
  - boolean fields ending in `_within_noise` are in-process guarantees
    the bench measured against its own noise floor (e.g. the link-stats
    flag-off path costing nothing measurable). They are machine-
@@ -52,7 +54,7 @@ import shutil
 import sys
 
 EXACT_FIELDS = ("events", "messages")
-RATE_FIELDS = ("events_per_sec", "messages_per_sec", "synth_messages_per_sec")
+RATE_FIELDS = ("synth_messages_per_sec",)
 NOISE_FLAG_SUFFIX = "_within_noise"
 
 

@@ -3,8 +3,7 @@
 # and compare its BENCH_paper_suite.json self-report against
 # bench/baselines with tools/bench_compare.py. The report is named, so
 # a missing report or baseline fails. Event and message counts are
-# deterministic and must match exactly; throughput drops only print a
-# WARN. The bench's stdout stays in paper_suite.out for the
+# deterministic and must match exactly. The bench's stdout stays in paper_suite.out for the
 # experiments_doc check, so one suite run serves both.
 #
 # Usage: bench_counters.sh <bench-binary-dir> <workdir>
